@@ -20,7 +20,6 @@ from .linalg import (
     DEFAULT_TOL,
     canonical_hermitian_eigh,
     dagger,
-    frobenius,
     kron,
 )
 
@@ -125,53 +124,27 @@ def _stacked_ls_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray | 
 
 
 def _intertwiner_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
-    """Smallest singular vector of the stacked system ch1(E)T = T ch2(E)."""
+    """Least-squares solution ``T`` (unit norm) of ``A_ab T = T B_ab`` over
+    all matrix units, with ``A_ab = ch1(E_ab)`` and ``B_ab = ch2(E_ab)``.
+
+    The stacked system ``R_ab = A_ab (x) I - I (x) B_ab^T`` acts on ``vec(T)``;
+    its normal matrix ``G = sum_ab R_ab^+ R_ab`` is built straight from the
+    Choi blocks as ``P (x) I + I (x) Q - C - C^+`` with ``P = sum A^+ A``,
+    ``Q = sum conj(B) B^T`` and ``C = sum A^+ (x) B^T``.  ``T`` is the
+    eigenvector of its lowest eigenvalue.
+    """
     d, n1, n2 = ch1.d_in, ch1.d_out, ch2.d_out
-    g1 = chn.kraus_to_choi(ch1).gamma.reshape(d, n1, d, n1)
-    g2 = chn.kraus_to_choi(ch2).gamma.reshape(d, n2, d, n2)
-    rows = []
-    eye1, eye2 = np.eye(n1), np.eye(n2)
-    for a in range(d):
-        for b in range(d):
-            m1 = d * g1[a, :, b, :]
-            m2 = d * g2[a, :, b, :]
-            rows.append(np.kron(m1, eye2) - np.kron(eye1, m2.T))
-    big = np.vstack(rows)
-    _, _, vh = np.linalg.svd(big)
-    return vh[-1].conj().reshape(n1, n2)
-
-
-def _minimal_pair(ch: KrausChannel) -> KrausChannel:
-    return chn.choi_to_kraus(chn.kraus_to_choi(ch))
-
-
-def _alternating_candidate(
-    ch1: KrausChannel, ch2: KrausChannel, w0: np.ndarray, iters: int = 200
-) -> np.ndarray:
-    """Polish W by alternating a Procrustes step for the unitary mixing of
-    minimal Kraus lists with a least-squares step for W."""
-    a_min = _minimal_pair(ch1)
-    b_min = _minimal_pair(ch2)
-    if a_min.n_kraus != b_min.n_kraus:
-        return w0
-    a = a_min.kraus
-    b = b_min.kraus
-    w = w0.copy()
-    for _ in range(iters):
-        wb = np.einsum("pq,kqc->kpc", w, b, optimize=True)
-        m = np.einsum("kab,jab->kj", a, wb.conj(), optimize=True)
-        uu, _, vv = np.linalg.svd(m)
-        u = uu @ vv
-        a_rot = np.einsum("kj,kab->jab", u.conj(), a, optimize=True)
-        am = a_rot.transpose(1, 0, 2).reshape(a_rot.shape[1], -1)
-        bm = b.transpose(1, 0, 2).reshape(b.shape[1], -1)
-        wt, *_ = np.linalg.lstsq(bm.T, am.T, rcond=None)
-        w_new = wt.T
-        if frobenius(w_new - w) < 1e-14:
-            w = w_new
-            break
-        w = w_new
-    return w
+    a = d * chn.kraus_to_choi(ch1).gamma.reshape(d, n1, d, n1).transpose(0, 2, 1, 3)
+    b = d * chn.kraus_to_choi(ch2).gamma.reshape(d, n2, d, n2).transpose(0, 2, 1, 3)
+    a_rows = a.reshape(d * d * n1, n1)  # the A_ab stacked on top of each other
+    b_cols = b.transpose(2, 0, 1, 3).reshape(n2, d * d * n2)  # the B_ab side by side
+    p = dagger(a_rows) @ a_rows
+    q = (b_cols @ dagger(b_cols)).conj()
+    c = a.conj().reshape(d * d, n1 * n1).T @ b.reshape(d * d, n2 * n2)
+    c = c.reshape(n1, n1, n2, n2).transpose(1, 3, 0, 2).reshape(n1 * n2, n1 * n2)
+    g = kron(p, np.eye(n2)) + kron(np.eye(n1), q) - c - dagger(c)
+    _, v = np.linalg.eigh(g)
+    return v[:, 0].reshape(n1, n2)
 
 
 def find_relating_isometry(
@@ -183,41 +156,27 @@ def find_relating_isometry(
     claim); the result is verified on all matrix-unit inputs and a
     :class:`NotConjugateError` is raised if no candidate reaches ``tol``.
 
-    Candidates are tried in order: a stacked least-squares solve when the
-    Kraus lists are index-matched (the canonical conjugates are), then the
-    intertwiner system on matrix units, then an alternating polish through
-    minimal representations.  Every candidate is projected onto the nearest
-    partial isometry by snapping singular values to {0, 1} at threshold 0.5.
+    Candidates are tried in order, each only when the one before it fails:
+    a stacked least-squares solve when the Kraus lists are index-matched
+    (the canonical conjugates are), then the intertwiner system on matrix
+    units.  Every candidate is projected onto the nearest partial isometry
+    by snapping singular values to {0, 1} at threshold 0.5.
     """
     if ch1.d_in != ch2.d_in:
         raise ValueError("channels have different input dimensions")
-    candidates: list[np.ndarray] = []
-    ls = _stacked_ls_candidate(ch1, ch2)
-    if ls is not None:
-        candidates.append(ls)
-    candidates.append(_intertwiner_candidate(ch1, ch2))
-
-    best: tuple[float, np.ndarray, int] | None = None
-    for raw in candidates:
+    best: float | None = None
+    for candidate in (_stacked_ls_candidate, _intertwiner_candidate):
+        raw = candidate(ch1, ch2)
+        if raw is None:
+            continue
         w, rank = _snap_to_partial_isometry(raw)
         if rank == 0:
             continue
         res = _matrix_unit_residual(ch1, ch2, w)
-        if best is None or res < best[0]:
-            best = (res, w, rank)
         if res < tol:
             return KrausRelation(w=w, rank=rank, residual=res)
-
-    seed = best[1] if best is not None else np.eye(ch1.d_out, ch2.d_out)
-    w, rank = _snap_to_partial_isometry(_alternating_candidate(ch1, ch2, seed))
-    if rank:
-        res = _matrix_unit_residual(ch1, ch2, w)
-        if res < tol:
-            return KrausRelation(w=w, rank=rank, residual=res)
-        if best is None or res < best[0]:
-            best = (res, w, rank)
+        best = res if best is None else min(best, res)
     raise NotConjugateError(
-        "no partial isometry relates the two channels "
-        f"(best residual {best[0]:.3e})" if best else
         "no partial isometry relates the two channels"
+        + (f" (best residual {best:.3e})" if best is not None else "")
     )

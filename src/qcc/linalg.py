@@ -36,9 +36,6 @@ def frobenius(a: np.ndarray) -> float:
 def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing.
 
-    This is the single entry point to the eigensolver backend; callers must
-    not call ``numpy.linalg.eigh`` directly so the backend stays swappable.
-
     Returns
     -------
     (w, v)
@@ -180,7 +177,8 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     """Schatten p-norm ``(sum_i sigma_i^p)^(1/p)`` of a square matrix.
 
     Uses singular values, so ``m`` need not be Hermitian.  ``p = inf``
-    returns the largest singular value.
+    returns the largest singular value.  The sum is taken over
+    ``(sigma_i / sigma_max)^p`` so that it cannot underflow at large ``p``.
     """
     if p < 1:
         raise ValueError(f"Schatten norm requires p >= 1, got {p}")
@@ -192,7 +190,9 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
         return float(s[0]) if s.size else 0.0
     if p == 1:
         return float(s.sum())
-    return float((s**p).sum() ** (1.0 / p))
+    if not s.size or s[0] == 0:
+        return 0.0
+    return float(s[0] * ((s / s[0]) ** p).sum() ** (1.0 / p))
 
 
 def von_neumann_entropy(rho: np.ndarray, base: float = 2.0, tol: float = DEFAULT_TOL) -> float:

@@ -108,6 +108,13 @@ def test_schatten_norm_closed_forms():
     assert abs(expected - 0.7905694150420949) < 1e-15
 
 
+def test_schatten_norm_large_p_does_not_underflow():
+    # (2/3)^2000 underflows to 0; the norm itself is 2/3 to machine precision.
+    m = np.diag([2 / 3, 1 / 6, 1 / 6])
+    for p in (1000, 2000, 10000):
+        assert abs(schatten_norm(m, p) - 2 / 3) < 1e-15
+
+
 def test_schatten_norm_rejects_small_p():
     with pytest.raises(ValueError):
         schatten_norm(np.eye(2), 0.5)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qcc import channel as chn
+from qcc import purity
 from qcc.channel import KrausChannel
 from qcc.conjugate import conjugate_kraus
 from qcc.pauli import (
@@ -15,6 +17,7 @@ from qcc.pauli import (
 )
 from qcc.purity import (
     OptimizerOptions,
+    _Kernel,
     additivity_gap_entropy,
     multiplicativity_gap,
     nu_p,
@@ -22,7 +25,13 @@ from qcc.purity import (
     sampled_nu_p,
     spectrum_pair_check,
 )
-from qcc.random import haar_state, haar_unitary, random_kraus_operators, rng_from_seed
+from qcc.random import (
+    derived_rng,
+    haar_state,
+    haar_unitary,
+    random_kraus_operators,
+    rng_from_seed,
+)
 
 OPTS = OptimizerOptions(restarts=8, tol=1e-13, seed=0)
 FAST = OptimizerOptions(restarts=4, tol=1e-12, seed=0)
@@ -61,6 +70,75 @@ def test_nu_p_depolarizing_qutrit():
     want = math.sqrt((2 / 3) ** 2 + 2 * (1 / 6) ** 2)
     assert abs(want - math.sqrt(0.5)) < 1e-15
     assert abs(nu_p(ch, 2, OPTS).value - want) < 1e-9
+
+
+def test_nu_p_large_p_does_not_underflow():
+    # The b=0.5 qutrit depolarizer: nu_p -> lambda_max = 2/3 as p grows.
+    ch = pauli_channel(build_basis(3), depolarizing_weights(3, 0.5)).channel
+    for p in (1000, 2000):
+        rep = nu_p(ch, p, FAST)
+        assert abs(rep.value - 2 / 3) < 1e-9
+        assert rep.converged
+
+
+#: (d_in, d_out, n): fewer Kraus operators than output dimensions (the
+#: conjugate's Gram matrix is the smaller), more, and d_in != d_out.
+KERNEL_SHAPES = [(3, 4, 2), (2, 2, 5), (4, 3, 3), (3, 5, 1)]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_kernel_matches_density_matrix_channel(shape, monkeypatch):
+    d_in, d_out, n = shape
+    rng = rng_from_seed(20)
+    ch = random_channel(rng, d_in, d_out, n)
+    kern = _Kernel(ch)
+    psi = haar_state(d_in, rng)
+    sigma = chn.apply(ch, np.outer(psi, psi.conj()))
+    m = kern.outputs(psi)
+    assert np.abs(m.T @ m.conj() - sigma).max() < 1e-14
+
+    # The smaller Gram matrix carries the whole nonzero output spectrum.
+    w, u = kern.eigh(m)
+    full = np.sort(np.linalg.eigvalsh(sigma))[-min(n, d_out):]
+    assert np.abs(w - full).max() < 1e-14
+    assert abs(w.sum() - 1.0) < 1e-13
+    assert np.abs(kern.spectrum(psi) - w).max() == 0.0
+
+    # Output eigenvectors from either Gram matrix rebuild sigma.
+    assert np.abs(kern.output_operator(m, w, u, w) - sigma).max() < 1e-13
+
+    x = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
+    x = x + x.conj().T
+    assert np.abs(kern.adjoint(x) - chn.adjoint_apply(ch, x)).max() < 1e-13
+    # A stack of operators, in one chunk and one operator per chunk.
+    xs = np.stack([x, x @ x, np.eye(d_out)])
+    want = np.stack([chn.adjoint_apply(ch, xi) for xi in xs])
+    assert np.abs(kern.adjoint(xs) - want).max() < 1e-12
+    monkeypatch.setattr(purity, "_ADJOINT_ENTRIES", 1)
+    assert np.abs(kern.adjoint(xs) - want).max() < 1e-12
+
+    # Gradient vectors, for h(0) = 0 and for the entropy's h(0) != 0.
+    ws, vs = np.linalg.eigh(sigma)
+    for h in (lambda t: t**2, lambda t: np.log(np.maximum(t, 1e-18)) + 1.0):
+        want = chn.adjoint_apply(ch, (vs * h(np.clip(ws, 0, None))) @ vs.conj().T) @ psi
+        got = kern.pull_back(m, u, h(w))
+        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_batched_fixed_point_matches_one_restart_at_a_time(shape):
+    d_in, d_out, n = shape
+    rng = rng_from_seed(21)
+    ch = random_channel(rng, d_in, d_out, n)
+    opts = OptimizerOptions(restarts=6, tol=1e-12, seed=3)
+    one = replace(opts, restarts=0)
+    for p in (2, 3, math.inf):
+        batched = nu_p(ch, p, opts).value
+        single = max(
+            nu_p(ch, p, one, initial_states=[haar_state(d_in, derived_rng(opts.seed, r))]).value
+            for r in range(opts.restarts)
+        )
+        assert abs(batched - single) < 1e-12
 
 
 def test_nu_p_value_matches_state():
@@ -132,6 +210,27 @@ def test_multiplicativity_gap_depolarizing_pair():
     gap = multiplicativity_gap(ch, ch, 2, OPTS)
     assert abs(gap.gap) < 1e-6
     assert gap.gap > -1e-8
+
+
+def test_multiplicativity_gap_no_false_gap_from_missed_single_optimum():
+    # With two restarts these seeds leave the single-channel nu_2 below the
+    # optimum that the product run finds; without re-seeding the single runs
+    # from the product state's Schmidt factors the gap read 0.045.
+    ch = KrausChannel(d_in=4, d_out=4, kraus=random_kraus_operators(4, 4, 16, derived_rng(1, 0)))
+    for seed in (1, 2):
+        gap = multiplicativity_gap(ch, ch, 2, OptimizerOptions(restarts=2, seed=seed))
+        assert abs(gap.gap) < 1e-8
+        assert gap.witness_state is None
+
+
+def test_additivity_gap_no_false_gap_from_missed_single_optimum():
+    # With one restart S_min of these channels stays above the optimum that
+    # the product run finds; without re-seeding the gaps read 0.035 and 0.049.
+    for shape, tag, seed in (((2, 2, 4), 10, 1), ((3, 3, 3), 3, 0)):
+        kraus = random_kraus_operators(*shape, derived_rng(2, tag))
+        ch = KrausChannel(d_in=shape[0], d_out=shape[1], kraus=kraus)
+        rep = additivity_gap_entropy(ch, ch, OptimizerOptions(restarts=1, seed=seed))
+        assert abs(rep.gap) < 1e-8
 
 
 def test_multiplicativity_gap_matches_conjugate_pair():
