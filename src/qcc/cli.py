@@ -45,7 +45,7 @@ class RunConfig:
     threads: str = "auto"
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
@@ -188,20 +188,41 @@ def _parse_p(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
     p = float(text)
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be at least 1 (or 'inf')")
     return p
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t.strip() != ""]
+        return [_finite_float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad float list {text!r}") from exc
 
 
+def _check_build_size(args) -> None:
+    """Reject a size beyond desk scale before anything is allocated."""
+    caps = (
+        ("-d", args.dim, pmod.MAX_DIM),
+        ("--dout", args.dout, pmod.MAX_DIM),
+        ("--kraus", args.kraus, pmod.MAX_DIM**2),
+        ("-n", args.n, pmod.MAX_DIM**2),
+    )
+    for flag, value, cap in caps:
+        if value is not None and value > cap:
+            raise ValueError(f"{flag} {value} exceeds the supported size ({flag} <= {cap})")
+
+
 def cmd_build(args) -> tuple[dict, int]:
     cfg = _config(args)
+    _check_build_size(args)
     rng = derived_rng(cfg.seed, 0)
     kind = args.kind
     d = args.dim
@@ -489,7 +510,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--tol", type=float, default=1e-10, help="zero cutoff")
+    common.add_argument("--tol", type=_finite_float, default=1e-10, help="zero cutoff")
     common.add_argument("--threads", default="auto", help="thread budget (QCC_THREADS overrides)")
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -511,11 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("-d", "--dim", type=int, required=True)
     p_build.add_argument("--dout", type=int, default=None)
-    p_build.add_argument("-b", type=float, default=None, help="depolarizing parameter")
+    p_build.add_argument("-b", type=_finite_float, default=None, help="depolarizing parameter")
     p_build.add_argument("--weights", default=None, help="comma-separated Pauli weights")
-    p_build.add_argument("-s", type=float, default=None, help="axes: identity weight")
+    p_build.add_argument("-s", type=_finite_float, default=None, help="axes: identity weight")
     p_build.add_argument("-t", default=None, help="axes: comma-separated per-axis weights")
-    p_build.add_argument("-u", type=float, default=None, help="axes: noise weight")
+    p_build.add_argument("-u", type=_finite_float, default=None, help="axes: noise weight")
     p_build.add_argument("--kraus", type=int, default=None, help="random: Kraus count")
     p_build.add_argument("-n", type=int, default=None, help="ebt: number of rank-one elements")
     p_build.add_argument("--pauli-json", action="store_true", help="emit the Pauli-diagonal format")
@@ -622,6 +643,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         payload, code = args.handler(args)
+        if payload is not None:
+            _emit(payload, args)
     except conj.NotConjugateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -631,8 +654,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if payload is not None:
-        _emit(payload, args)
     print(
         f"[qcc] {args.command} finished in {time.perf_counter() - start:.3f}s",
         file=sys.stderr,

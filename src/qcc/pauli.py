@@ -26,6 +26,15 @@ from .linalg import (
 )
 from .purity import DEFAULT_OPTS, OptimizerOptions, s_min
 
+#: Largest dimension of a Pauli basis, single or product: its ``d^2``
+#: operators hold ``d^4`` complex entries, 16 MB at ``d = 32``.
+MAX_DIM = 32
+
+
+def _check_dim(d: int) -> None:
+    if d > MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds the supported size (d <= {MAX_DIM})")
+
 
 @dataclass(frozen=True)
 class PauliBasis:
@@ -95,6 +104,7 @@ def build_basis(d: int) -> PauliBasis:
     """The generalized Pauli basis ``{X^j Z^k}`` for dimension ``d >= 2``."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
+    _check_dim(d)
     omega = np.exp(2j * np.pi / d)
     x = np.zeros((d, d), dtype=complex)
     for k in range(d):
@@ -135,6 +145,7 @@ def build_basis(d: int) -> PauliBasis:
 
 def product_basis(b1: PauliBasis, b2: PauliBasis) -> PauliBasis:
     """Tensor-product basis ``{T_m (x) T_n}`` on dimension ``d1 * d2``."""
+    _check_dim(b1.d * b2.d)
     s2 = b2.size
     ops = np.stack([kron(a, b) for a in b1.ops for b in b2.ops])
     ones1 = np.ones_like(b1.prod_index)

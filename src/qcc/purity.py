@@ -22,9 +22,17 @@ For p >= 2 the engine is the fixed-point iteration
 the natural power-iteration analogue, which ascends ``Tr Phi(rho)^p``.
 ``p = inf`` takes the limit of the power, the projector on the top output
 eigenvector.  All restarts of the fixed point run together as one stack; a
-restart leaves the stack once it meets its stopping rule.  For p in [1, 2)
-and for the entropy, projected gradient ascent on the unit sphere with
-backtracking line search runs one restart at a time.
+restart leaves the stack once it meets its stopping rule.
+
+For p in [1, 2) and for the entropy, Riemannian gradient ascent on the unit
+sphere runs one restart at a time: each step moves along the tangent
+gradient ``r = g - psi <psi, g>`` and renormalizes.  The step length opens
+at the Barzilai-Borwein length of the last step and is halved until
+Armijo's condition holds, so every accepted step ascends.  The step is
+taken along ``r``, not ``g``: the radial part of ``g`` is
+``Tr sigma h(sigma)``, so after renormalization a step along ``g`` stops
+growing with its length while Armijo's bound keeps growing, and on flat or
+degenerate landscapes the ascent crawls for thousands of iterations.
 """
 
 from __future__ import annotations
@@ -226,12 +234,19 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter:
 
 
 def _gradient_restart(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
-    """Projected gradient ascent on the unit sphere with backtracking.
+    """Riemannian gradient ascent on the unit sphere with a Barzilai-Borwein
+    step length and backtracking.
 
-    Maximizes ``Tr sigma^p`` when ``p`` is given, else ``-S(sigma)``.
+    Maximizes ``Tr sigma^p`` when ``p`` is given, else ``-S(sigma)``.  With
+    ``g`` the gradient, each step moves along the tangent gradient
+    ``r = g - psi <psi, g>`` to ``normalize(psi + t r)``.  The trial length
+    ``t`` is the Barzilai-Borwein length ``<s, s> / -Re<s, y>`` of the last
+    step ``s`` and the change ``y`` of ``r`` (twice the last length when the
+    curvature is not negative), and it is halved until Armijo's condition
+    holds, so every accepted step ascends.
     """
 
-    def phi_and_grad(psi):
+    def phi_and_tangent(psi):
         m = kern.outputs(psi)
         w, u = kern.eigh(m)
         if p is not None:
@@ -240,23 +255,23 @@ def _gradient_restart(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: i
         else:
             phi = -float(_entropy_nat(w))
             h = np.log(np.maximum(w, 1e-18)) + 1.0
-        return phi, kern.pull_back(m, u, h)
+        g = kern.pull_back(m, u, h)
+        return phi, g - psi * np.vdot(psi, g)
 
-    phi, g = phi_and_grad(psi)
+    phi, r = phi_and_tangent(psi)
     step = 1.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        r = g - psi * np.vdot(psi, g)
         rnorm2 = float(np.vdot(r, r).real)
         if rnorm2 < 1e-30:
             converged = True
             break
         accepted = False
         for _ in range(60):
-            cand = psi + step * g
+            cand = psi + step * r
             cand = cand / np.linalg.norm(cand)
-            phi_new, g_new = phi_and_grad(cand)
+            phi_new, r_new = phi_and_tangent(cand)
             if phi_new >= phi + 1e-4 * step * rnorm2:
                 accepted = True
                 break
@@ -264,10 +279,11 @@ def _gradient_restart(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: i
         if not accepted:
             converged = True
             break
+        s, y = cand - psi, r_new - r
+        curvature = -float(np.vdot(s, y).real)
+        step = min(float(np.vdot(s, s).real) / curvature if curvature > 0 else 2.0 * step, 1e6)
         moved = abs(phi_new - phi)
-        psi, g = cand, g_new
-        phi = phi_new
-        step = min(step * 2.0, 1e6)
+        psi, r, phi = cand, r_new, phi_new
         if moved <= tol * max(abs(phi), 1e-12):
             converged = True
             break

@@ -88,13 +88,21 @@ def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
     return [[encode_complex(z) for z in row] for row in m]
 
 
+def _finite_number(t) -> bool:
+    """A JSON number that converts to a finite double."""
+    try:
+        return isinstance(t, (int, float)) and math.isfinite(float(t))
+    except OverflowError:
+        return False
+
+
 def decode_complex(obj) -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(t, (int, float)) for t in obj)
+        or not all(_finite_number(t) for t in obj)
     ):
-        raise ValueError(f"complex scalar must be a [re, im] pair, got {obj!r}")
+        raise ValueError(f"complex scalar must be a finite [re, im] pair, got {obj!r}")
     return complex(obj[0], obj[1])
 
 
@@ -194,8 +202,12 @@ def pauli_from_obj(obj) -> PauliDiagonalChannel:
     else:
         raise ValueError(f"unknown basis tag {tag!r}")
     weights = obj["weights"]
-    if not isinstance(weights, list) or len(weights) != d * d:
-        raise ValueError(f"weights must be a flat array of {d * d} doubles")
+    if (
+        not isinstance(weights, list)
+        or len(weights) != d * d
+        or not all(_finite_number(w) for w in weights)
+    ):
+        raise ValueError(f"weights must be a flat array of {d * d} finite doubles")
     return pauli_channel(basis, np.array(weights, dtype=float))
 
 

@@ -257,12 +257,14 @@ def test_verify_command_and_exit_codes(capsys, tmp_path):
 def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
     dep = tmp_path / "dep.json"
     run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.3", "--out", str(dep))
-    outs = []
-    for _ in range(2):
-        code, out, _ = run_cli(capsys, "nu", "--in", str(dep), "-p", "2", "--seed", "9", "--restarts", "4")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+    # The fixed-point engine (p = 2) and the gradient engine (p = 1.5, smin).
+    for argv in (["nu", "-p", "2"], ["nu", "-p", "1.5"], ["smin"]):
+        outs = []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, *argv, "--in", str(dep), "--seed", "9", "--restarts", "4")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def test_threads_env_override(capsys, tmp_path, monkeypatch):
@@ -296,3 +298,63 @@ def test_csv_and_text_formats(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "smin", "--in", str(dep), "--restarts", "4", "--format", "text")
     assert code == 0
     assert "results.value" in out
+
+
+def test_non_finite_input_is_rejected(capsys, tmp_path):
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError):
+            ser.decode_complex([float(bad), 0.0])
+        path = tmp_path / f"ch_{bad}.json"
+        path.write_text(
+            '{"d_in": 1, "d_out": 1, "kraus": [[[[%s, 0]]]]}' % bad, encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, "conjugate", "--in", str(path), "--method", "kraus")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+        weights = tmp_path / f"pauli_{bad}.json"
+        weights.write_text('{"d": 2, "basis": "pauli", "weights": [%s, 0, 0, 0]}' % bad)
+        code, out, _ = run_cli(capsys, "pauli", "lambda", "--in", str(weights))
+        assert (code, out) == (2, "")
+
+    dep = tmp_path / "dep.json"
+    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.5", "--out", str(dep))
+    for argv in (
+        ["nu", "--in", str(dep), "-p", "nan"],
+        ["mult", "--a", str(dep), "--b", str(dep), "-p", "nan"],
+        ["smin", "--in", str(dep), "--tol", "nan"],
+        ["build", "depolarizing", "-d", "2", "-b", "nan"],
+        ["build", "pauli", "-d", "2", "--weights", "nan,0,0,1"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+
+
+def test_sizes_beyond_the_cap_are_rejected(capsys, tmp_path):
+    from qcc.pauli import MAX_DIM
+
+    state = tmp_path / "rho.json"
+    state.write_text(ser.dumps(ser.encode_matrix(np.eye(2) / 2)))
+    over = str(MAX_DIM + 1)
+    for argv in (
+        ["build", "noisy", "-d", over],
+        ["build", "random", "-d", "2", "--dout", over],
+        ["build", "random", "-d", "2", "--kraus", str(MAX_DIM**2 + 1)],
+        ["pauli", "ncimage", "-d", over, "--state", str(state)],
+        ["pauli", "subgroup", "-d", over, "--state", str(state)],
+        # The product basis on d x d: d = 6 is the least d with d * d > MAX_DIM.
+        ["pauli", "ncimage", "-d", "6", "--product", "--state", str(state)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "exceeds the supported size" in err
+        assert len(err.strip().splitlines()) == 1
+
+    code, out, _ = run_cli(capsys, "build", "noisy", "-d", str(MAX_DIM), "--pauli-json")
+    assert code == 0 and len(json.loads(out)["weights"]) == MAX_DIM**2
+
+
+def test_unwritable_output_is_an_io_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "build", "identity", "-d", "2", "--out", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err.startswith("i/o error:")

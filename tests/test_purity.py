@@ -11,6 +11,7 @@ from qcc.conjugate import conjugate_kraus
 from qcc.pauli import (
     build_basis,
     depolarizing_weights,
+    lambda_spectrum,
     noisy_weights,
     pauli_channel,
     qubit_nu_p_closed_form,
@@ -139,6 +140,50 @@ def test_batched_fixed_point_matches_one_restart_at_a_time(shape):
             for r in range(opts.restarts)
         )
         assert abs(batched - single) < 1e-12
+
+
+def test_gradient_engine_qubit_converges_in_few_iterations():
+    # A unital qubit channel V K U: S_min is the entropy of ((1 + l)/2, (1 - l)/2),
+    # l the largest Bloch contraction.  Stepping along the raw gradient took
+    # 177 to 277 iterations here, and stopped 4.4e-13 short.
+    w = np.array([0.25, 0.02, 0.65, 0.08])
+    pc = pauli_channel(build_basis(2), w)
+    lam = np.abs(lambda_spectrum(pc)[1:]).max()
+    hi, lo = (1 + lam) / 2, (1 - lam) / 2
+    want = -(hi * math.log2(hi) + lo * math.log2(lo))
+    for seed in range(6):
+        rng = rng_from_seed(seed)
+        v, u = haar_unitary(2, rng), haar_unitary(2, rng)
+        ch = KrausChannel(d_in=2, d_out=2, kraus=v @ pc.channel.kraus @ u)
+        rep = s_min(ch, OptimizerOptions(restarts=1, tol=1e-13, seed=seed))
+        assert rep.converged
+        assert rep.iterations <= 50
+        assert abs(rep.value - want) <= 1e-13
+
+
+def test_gradient_engine_product_converges_in_few_iterations():
+    # dep3 (x) dep3: with steps along the raw gradient, the product report
+    # summed 53 to 56 iterations over its five starts at these seeds.
+    dep = pauli_channel(build_basis(3), depolarizing_weights(3, 0.4)).channel
+    for seed in range(6):
+        rep = additivity_gap_entropy(dep, dep, OptimizerOptions(restarts=4, seed=seed))
+        assert rep.report_12.iterations <= 40
+        assert abs(rep.gap) < 1e-8
+
+
+def test_gradient_engine_never_descends_from_its_start():
+    rng = rng_from_seed(22)
+    one = OptimizerOptions(restarts=0, tol=1e-12)
+    for shape in ((2, 3, 3), (3, 3, 2), (3, 4, 5)):
+        ch = random_channel(rng, *shape)
+        kern = _Kernel(ch)
+        for _ in range(3):
+            psi = haar_state(ch.d_in, rng)
+            w = kern.spectrum(psi)
+            rep = nu_p(ch, 1.5, one, initial_states=[psi])
+            assert rep.value >= purity._pnorm(w, 1.5)
+            rep = s_min(ch, one, base=math.e, initial_states=[psi])
+            assert rep.value <= purity._entropy_nat(w)
 
 
 def test_nu_p_value_matches_state():
