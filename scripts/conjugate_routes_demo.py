@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Build a random channel, conjugate it by all three routes, and show that
 the routes agree up to a partial isometry while sharing output spectra with
-the original channel."""
+the original channel, and check the linearizer identities at the largest
+power p the gl size caps allow (p = 4 at the default sizes)."""
 
 import argparse
 
 import numpy as np
 
+from qcc import gl
 from qcc.channel import KrausChannel
 from qcc.conjugate import conjugate_channel, find_relating_isometry
 from qcc.purity import spectrum_pair_check
@@ -47,6 +49,14 @@ def main() -> None:
         _, _, dev = spectrum_pair_check(ch, haar_state(args.d, rng))
         worst = max(worst, dev)
     print(f"  shared output spectra: max deviation {worst:.3e} over 5 pure inputs")
+
+    big = max(args.d, args.dout, args.kraus)  # the conjugate acts on C^kraus
+    p = max((q for q in range(1, gl.MAX_P + 1) if big**q <= gl.MAX_TOTAL_DIM), default=1)
+    res_conj, res_shift = gl.verify_gl_identity(ch, p)
+    print(
+        f"  linearizer at p={p}: |omega - theta(conjugate)^+| {res_conj:.3e}, "
+        f"|omega - theta L_p| {res_shift:.3e}"
+    )
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape != (ch.d_in, ch.d_in):
         raise ValueError(f"state must be {ch.d_in}x{ch.d_in}, got {rho.shape}")
-    return np.einsum("kab,bc,kdc->ad", ch.kraus, rho, ch.kraus.conj(), optimize=True)
+    return (ch.kraus @ rho @ ch.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def adjoint_apply(ch: KrausChannel, a: np.ndarray) -> np.ndarray:
@@ -141,7 +141,7 @@ def adjoint_apply(ch: KrausChannel, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.shape != (ch.d_out, ch.d_out):
         raise ValueError(f"operator must be {ch.d_out}x{ch.d_out}, got {a.shape}")
-    return np.einsum("kba,bc,kcd->ad", ch.kraus.conj(), a, ch.kraus, optimize=True)
+    return (ch.kraus.conj().transpose(0, 2, 1) @ a @ ch.kraus).sum(axis=0)
 
 
 def validate_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> CPTReport:
@@ -151,7 +151,8 @@ def validate_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> CPTReport:
     always true; ``tp_ok`` holds iff the spectral norm of
     ``sum F_k^+ F_k - I`` is below ``tol``.
     """
-    s = np.einsum("kba,kbc->ac", ch.kraus.conj(), ch.kraus, optimize=True)
+    stack = ch.kraus.reshape(-1, ch.d_in)
+    s = dagger(stack) @ stack
     resid = float(np.abs(np.linalg.eigvalsh(s - np.eye(ch.d_in))).max())
     return CPTReport(cp_ok=True, tp_ok=resid < tol, max_residual=resid)
 

@@ -200,6 +200,13 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         return [_finite_float(t) for t in text.split(",") if t.strip() != ""]
@@ -507,6 +514,14 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 # -------------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: <message>`` line on stderr and
+    exits with code 2; its subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
@@ -519,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--restarts", type=int, default=32)
     opt.add_argument("--max-iter", type=int, default=2000, dest="max_iter")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcc",
         description="Quantum channels, conjugate channels, and optimal output purity.",
     )
@@ -624,12 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
     gv = gl_subs.add_parser("verify", parents=[common])
     gv.add_argument("--in", dest="infile", required=True)
     gv.add_argument("-p", type=int, default=2)
-    gv.add_argument("--trials", type=int, default=5)
+    gv.add_argument("--trials", type=_positive_int, default=5)
     gv.set_defaults(handler=cmd_gl)
 
     p_verify = subs.add_parser("verify", parents=[common], help="run invariant suites")
     p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p_verify.add_argument("--trials", type=int, default=None)
+    p_verify.add_argument("--trials", type=_positive_int, default=None)
     p_verify.set_defaults(handler=cmd_verify)
     return parser
 

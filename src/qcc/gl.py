@@ -9,8 +9,6 @@ from the same Kraus list, the two are related exactly by
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import channel as chn
@@ -18,7 +16,7 @@ from .channel import KrausChannel
 from .conjugate import conjugate_kraus
 from .linalg import dagger, frobenius, kron
 
-#: Guard rails for the naive p-fold assembly.
+#: Guard rails for the p-fold operators (d^p x d^p dense matrices).
 MAX_P = 4
 MAX_TOTAL_DIM = 256
 
@@ -39,55 +37,57 @@ def shift_operator(p: int, direction: str, d: int) -> np.ndarray:
     _check_p(p, d)
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
-    n = d**p
-    op = np.zeros((n, n))
-    for src in range(n):
-        digits = []
-        rem = src
-        for _ in range(p):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()  # digits[0] = k1 (major)
-        rotated = digits[1:] + digits[:1] if direction == "left" else digits[-1:] + digits[:-1]
-        tgt = 0
-        for dig in rotated:
-            tgt = tgt * d + dig
-        op[tgt, src] = 1.0
-    return op
+    # Row |k1 ... kp> of the identity, with its p digit axes rotated, is the
+    # row of the target |k2 ... kp k1> (left) or |kp k1 ... k(p-1)> (right).
+    axes = list(range(1, p)) + [0] if direction == "left" else [p - 1] + list(range(p - 1))
+    eye = np.eye(d**p).reshape((d,) * p + (d**p,))
+    return eye.transpose(axes + [p]).reshape(d**p, d**p)
 
 
 def theta(ch: KrausChannel, p: int) -> np.ndarray:
     """Cyclic sum ``sum A+_{k1} A_{k2} (x) A+_{k2} A_{k3} (x) ... (x) A+_{kp} A_{k1}``.
 
-    Acts on ``p`` copies of the input space.  Assembly is the naive loop
-    over Kraus index tuples, fine at desk scale.
+    Acts on ``p`` copies of the input space.  With ``P[k, l] = A+_k A_l``,
+    the sum is contracted as a cyclic transfer matrix: for each ``k1``, the
+    chain ``T[m] = P[k1, m]`` is extended ``p - 2`` times by
+    ``T[m] <- sum_l T[l] (x) P[l, m]`` (one matmul each), and the cycle is
+    closed with ``sum_l T[l] (x) P[l, k1]``.  That is about ``n p`` small
+    matmuls instead of ``n^p`` Kronecker chains; the largest intermediate
+    holds ``n d^(2(p-1))`` entries.
     """
     _check_p(p, ch.d_in)
-    n = ch.n_kraus
-    pairs = np.einsum("iba,jbc->ijac", ch.kraus.conj(), ch.kraus, optimize=True)
-    dim = ch.d_in**p
-    out = np.zeros((dim, dim), dtype=complex)
-    for ks in itertools.product(range(n), repeat=p):
-        term = pairs[ks[0], ks[1 % p]]
-        for i in range(1, p):
-            term = kron(term, pairs[ks[i], ks[(i + 1) % p]])
-        out += term
-    return out
+    n, d = ch.n_kraus, ch.d_in
+    stack = ch.kraus.transpose(1, 0, 2).reshape(ch.d_out, n * d)
+    gram = (dagger(stack) @ stack).reshape(n, d, n, d)  # [k, a, l, c] = P[k, l][a, c]
+    # T is kept with its factors' (row, column) index pairs interleaved,
+    # (a1 c1 a2 c2 ..., m), so that appending a factor is a plain matmul.
+    step = gram.transpose(0, 1, 3, 2).reshape(n, d * d * n)  # [l; b e m] = P[l, m][b, e]
+    close = gram.transpose(2, 0, 1, 3).reshape(n, n, d * d)  # [k][l; b e] = P[l, k][b, e]
+    acc = np.zeros((d ** (2 * p - 2), d * d), dtype=complex)
+    for k in range(n):
+        # The empty chain, open at k: its first extension is T[m] = P[k, m],
+        # and closing it at once gives the p = 1 term P[k, k].
+        t = np.eye(1, n, k)
+        for _ in range(p - 1):
+            t = (t @ step).reshape(-1, n)
+        acc += t @ close[k]
+    rows_then_cols = list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2))
+    return acc.reshape((d,) * (2 * p)).transpose(rows_then_cols).reshape(d**p, d**p)
 
 
 def _apply_adjoint_to_factor(ch: KrausChannel, m: np.ndarray, i: int, p: int) -> np.ndarray:
     """Adjoint channel on tensor factor ``i`` of a matrix on p output factors
     (the other factors' dimensions may already have been converted)."""
-    shape = m.shape[0]
-    left = 1
-    for _ in range(i):
-        left *= ch.d_in  # factors below i are already converted
-    right = shape // (left * ch.d_out)
-    t = m.reshape(left, ch.d_out, right, left, ch.d_out, right)
-    out = np.einsum(
-        "kba,LbRMcS,kcd->LaRMdS", ch.kraus.conj(), t, ch.kraus, optimize=True
-    )
-    new_dim = left * ch.d_in * right
+    n, d_out, d_in = ch.kraus.shape
+    left = d_in**i  # factors below i are already converted
+    right = m.shape[0] // (left * d_out)
+    vecs = ch.kraus.reshape(n, d_out * d_in)
+    # sup[(b, c), (a, d)] = sum_k conj(F_k[b, a]) F_k[c, d]
+    sup = (dagger(vecs) @ vecs).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+    t = m.reshape(left, d_out, right, left, d_out, right).transpose(0, 2, 3, 5, 1, 4)
+    out = t.reshape(-1, d_out * d_out) @ sup.reshape(d_out * d_out, d_in * d_in)
+    out = out.reshape(left, right, left, right, d_in, d_in).transpose(0, 4, 1, 2, 5, 3)
+    new_dim = left * d_in * right
     return out.reshape(new_dim, new_dim)
 
 

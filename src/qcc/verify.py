@@ -631,6 +631,8 @@ def run_suites(names, seed: int = 0, trials: int | None = None) -> list[CheckRes
         "ebt": (suite_ebt, 8),
         "gl": (suite_gl, 10),
     }
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if isinstance(names, str):
         names = SUITE_NAMES if names == "all" else (names,)
     results: list[CheckResult] = []
@@ -638,5 +640,5 @@ def run_suites(names, seed: int = 0, trials: int | None = None) -> list[CheckRes
         if name not in table:
             raise ValueError(f"unknown suite {name!r}")
         fn, default_trials = table[name]
-        results.extend(fn(seed=seed, trials=trials or default_trials))
+        results.extend(fn(seed=seed, trials=default_trials if trials is None else trials))
     return results

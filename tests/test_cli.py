@@ -10,6 +10,7 @@ from qcc.channel import KrausChannel
 from qcc.cli import main
 from qcc.pauli import build_basis, depolarizing_weights, pauli_channel
 from qcc.random import random_kraus_operators, rng_from_seed
+from qcc.verify import run_suites
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +329,39 @@ def test_non_finite_input_is_rejected(capsys, tmp_path):
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
+
+
+def test_usage_error_is_one_line(capsys, tmp_path):
+    dep = tmp_path / "dep.json"
+    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.5", "--out", str(dep))
+    code, out, err = run_cli(capsys, "nu", "--in", str(dep), "-p", "nan")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument -p") and len(err.strip().splitlines()) == 1
+
+    code, out, err = run_cli(capsys, "nosuchcommand")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    # --help still prints the full usage text and exits 0.
+    code, out, _ = run_cli(capsys, "nu", "--help")
+    assert code == 0 and out.startswith("usage: qcc nu")
+
+
+def test_trials_below_one_are_rejected(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    run_cli(capsys, "build", "random", "-d", "2", "--kraus", "3", "--out", str(path))
+    for argv in (
+        ["gl", "verify", "--in", str(path), "--trials", "-3"],
+        ["gl", "verify", "--in", str(path), "--trials", "0"],
+        ["verify", "--suite", "gl", "--trials", "0"],
+        ["verify", "--suite", "all", "--trials", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: argument --trials") and len(err.strip().splitlines()) == 1
+
+    with pytest.raises(ValueError):
+        run_suites("gl", trials=0)
 
 
 def test_sizes_beyond_the_cap_are_rejected(capsys, tmp_path):

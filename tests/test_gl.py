@@ -1,14 +1,95 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qcc import gl
 from qcc.channel import KrausChannel
-from qcc.linalg import dagger
+from qcc.conjugate import conjugate_kraus
+from qcc.linalg import dagger, kron
 from qcc.random import haar_state, haar_unitary, random_density, random_kraus_operators, rng_from_seed
 
 
 def random_channel(rng, d_in, d_out, n):
     return KrausChannel(d_in=d_in, d_out=d_out, kraus=random_kraus_operators(d_in, d_out, n, rng))
+
+
+def theta_reference(ch, p):
+    """The defining sum over all n^p Kraus index tuples, one Kronecker chain
+    per tuple."""
+    pairs = np.stack([[dagger(a) @ b for b in ch.kraus] for a in ch.kraus])
+    dim = ch.d_in**p
+    out = np.zeros((dim, dim), dtype=complex)
+    for ks in itertools.product(range(ch.n_kraus), repeat=p):
+        term = pairs[ks[0], ks[1 % p]]
+        for i in range(1, p):
+            term = kron(term, pairs[ks[i], ks[(i + 1) % p]])
+        out += term
+    return out
+
+
+def shift_reference(p, direction, d):
+    """The shift permutation built one basis vector at a time from its digits."""
+    n = d**p
+    op = np.zeros((n, n))
+    for src in range(n):
+        digits = []
+        rem = src
+        for _ in range(p):
+            digits.append(rem % d)
+            rem //= d
+        digits.reverse()  # digits[0] = k1 (major)
+        rotated = digits[1:] + digits[:1] if direction == "left" else digits[-1:] + digits[:-1]
+        tgt = 0
+        for dig in rotated:
+            tgt = tgt * d + dig
+        op[tgt, src] = 1.0
+    return op
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+def test_shift_operator_matches_digit_loop(direction):
+    for d in range(1, 5):
+        for p in range(1, 5):
+            assert np.array_equal(gl.shift_operator(p, direction, d), shift_reference(p, direction, d))
+
+
+# (d_in, d_out, n): n < d, n > d, d_in != d_out both ways, a single operator.
+THETA_SHAPES = [(3, 3, 2), (2, 2, 3), (2, 3, 2), (3, 2, 4), (4, 4, 3), (2, 2, 1)]
+
+
+@pytest.mark.parametrize("shape", THETA_SHAPES, ids=["x".join(map(str, s)) for s in THETA_SHAPES])
+def test_theta_matches_tuple_loop(shape):
+    rng = rng_from_seed(sum(shape))
+    ch = random_channel(rng, *shape)
+    for c in (ch, conjugate_kraus(ch)):
+        for p in (1, 2, 3, 4):
+            if c.d_in**p > gl.MAX_TOTAL_DIM:
+                continue
+            ref = theta_reference(c, p)
+            assert np.abs(gl.theta(c, p) - ref).max() < 1e-13, (c.kraus.shape, p)
+
+
+def test_theta_linearizes_pure_states_at_p3_and_p4():
+    # Tr Phi(psi psi^+)^p = <psi^(x p)| theta |psi^(x p)>.
+    rng = rng_from_seed(7)
+    for d_in, d_out, n in ((2, 3, 4), (3, 2, 3), (4, 4, 5)):
+        ch = random_channel(rng, d_in, d_out, n)
+        for p in (3, 4):
+            th = gl.theta(ch, p)
+            psi = haar_state(d_in, rng)
+            big = psi
+            for _ in range(p - 1):
+                big = np.kron(big, psi)
+            proj = np.outer(psi, psi.conj())
+            assert abs(gl.power_trace(ch, proj, p) - big.conj() @ th @ big) < 1e-13
+
+
+def test_gl_identities_at_the_size_cap():
+    # d = 4, 16 Kraus operators, p = 4: d^p = 256, the largest supported case.
+    ch = random_channel(rng_from_seed(8), 4, 4, 16)
+    r1, r2 = gl.verify_gl_identity(ch, 4)
+    assert r1 < 1e-10 and r2 < 1e-10
 
 
 def test_shift_operator_small_cases():

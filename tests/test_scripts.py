@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = [
     ("qubit_closed_form_scan.py", "--n", "3", "--p", "1.5,2", "--restarts", "1"),
     ("depolarizing_bound_sweep.py", "--bs", "0.5", "--restarts", "2"),
+    # At its default sizes the demo checks the linearizer identities at p = 4.
     ("conjugate_routes_demo.py",),
 ]
 
