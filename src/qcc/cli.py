@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 validation failure (bad parameters or malformed
 input), 3 verification failure (a requested check did not pass), 4 I/O error.
 Reports are deterministic for a fixed seed and configuration; wall-clock
 timings go to stderr so stdout stays byte-identical across runs.
+
+Each command imports the modules it runs inside its handler, so that a
+command pays start-up only for those: ``build depolarizing`` loads neither
+the optimizer nor the verification suites, and ``--help`` loads no qcc
+module at all.
 """
 
 from __future__ import annotations
@@ -15,23 +20,23 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import channel as chn
-from . import conjugate as conj
-from . import ebt as ebtmod
-from . import gl as glmod
-from . import pauli as pmod
-from . import serialize as ser
-from .purity import OptimizerOptions, multiplicativity_gap, nu_p, s_min
-from .random import derived_rng, random_kraus_operators
-from .verify import SUITE_NAMES, run_suites
+if TYPE_CHECKING:
+    from .channel import KrausChannel
+    from .pauli import PauliBasis, PauliDiagonalChannel
+    from .purity import OptimizerOptions
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
+
+#: ``verify.SUITE_NAMES``, restated so that building the parser does not
+#: import the suites; a test keeps the two equal.
+SUITE_NAMES = ("conjugate", "pauli", "ebt", "gl")
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,8 @@ def _config(args) -> RunConfig:
 
 
 def _opts(args, cfg: RunConfig) -> OptimizerOptions:
+    from .purity import OptimizerOptions
+
     return OptimizerOptions(
         restarts=cfg.restarts,
         tol=cfg.tol,
@@ -103,20 +110,28 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _load_channel(path: str) -> chn.KrausChannel:
-    return ser.channel_from_obj(_read_json(path))
+def _load_channel(path: str) -> KrausChannel:
+    from .serialize import channel_from_obj
+
+    return channel_from_obj(_read_json(path))
 
 
-def _load_pauli(path: str) -> pmod.PauliDiagonalChannel:
-    return ser.pauli_from_obj(_read_json(path))
+def _load_pauli(path: str) -> PauliDiagonalChannel:
+    from .serialize import pauli_from_obj
+
+    return pauli_from_obj(_read_json(path))
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    return ser.decode_matrix(_read_json(path))
+    from .serialize import decode_matrix
+
+    return decode_matrix(_read_json(path))
 
 
 def _load_vector(path: str) -> np.ndarray:
-    return ser.decode_vector(_read_json(path))
+    from .serialize import decode_vector
+
+    return decode_vector(_read_json(path))
 
 
 # ------------------------------------------------------------------ emitters
@@ -139,7 +154,9 @@ def _scalar_str(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return ser.format_float(v)
+        from .serialize import format_float
+
+        return format_float(v)
     if v is None:
         return ""
     return str(v)
@@ -147,7 +164,9 @@ def _scalar_str(v) -> str:
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return ser.dumps(payload, indent=2) + "\n"
+        from .serialize import dumps
+
+        return dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         rows: list[tuple[str, str]] = []
         _flatten("", payload, rows)
@@ -175,7 +194,9 @@ def _emit(payload: dict, args) -> None:
 
 
 def _vector_or_none(v):
-    return None if v is None else ser.encode_vector(v)
+    from .serialize import encode_vector
+
+    return None if v is None else encode_vector(v)
 
 
 # ------------------------------------------------------------------ handlers
@@ -184,24 +205,35 @@ def _p_echo(p: float):
     return "inf" if math.isinf(p) else p
 
 
+# Argument types raise ``argparse.ArgumentTypeError``, whose message argparse
+# prints as it is; for any other error it prints the function's name.
+
+def _number(text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+
+
 def _parse_p(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return math.inf
-    p = float(text)
+    p = _number(text)
     if not p >= 1:
-        raise ValueError("p must be at least 1 (or 'inf')")
+        raise argparse.ArgumentTypeError(f"p must be at least 1 (or 'inf'), got {text!r}")
     return p
 
 
 def _finite_float(text: str) -> float:
-    x = float(text)
+    x = _number(text)
     if not math.isfinite(x):
-        raise ValueError(f"{text!r} is not a finite number")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return x
 
 
 def _positive_int(text: str) -> int:
-    n = int(text)
+    n = _number(text, int)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
@@ -210,17 +242,19 @@ def _positive_int(text: str) -> int:
 def _parse_floats(text: str) -> list[float]:
     try:
         return [_finite_float(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"bad float list {text!r}") from exc
 
 
 def _check_build_size(args) -> None:
     """Reject a size beyond desk scale before anything is allocated."""
+    from .linalg import MAX_DIM
+
     caps = (
-        ("-d", args.dim, pmod.MAX_DIM),
-        ("--dout", args.dout, pmod.MAX_DIM),
-        ("--kraus", args.kraus, pmod.MAX_DIM**2),
-        ("-n", args.n, pmod.MAX_DIM**2),
+        ("-d", args.dim, MAX_DIM),
+        ("--dout", args.dout, MAX_DIM),
+        ("--kraus", args.kraus, MAX_DIM**2),
+        ("-n", args.n, MAX_DIM**2),
     )
     for flag, value, cap in caps:
         if value is not None and value > cap:
@@ -228,13 +262,16 @@ def _check_build_size(args) -> None:
 
 
 def cmd_build(args) -> tuple[dict, int]:
+    from . import serialize as ser
+
     cfg = _config(args)
     _check_build_size(args)
-    rng = derived_rng(cfg.seed, 0)
     kind = args.kind
     d = args.dim
     pauli_kinds = {"identity", "noisy", "depolarizing", "pauli", "axes"}
     if kind in pauli_kinds:
+        from . import pauli as pmod
+
         basis = pmod.build_basis(d)
         if kind == "identity":
             weights = pmod.identity_weights(d)
@@ -255,11 +292,20 @@ def cmd_build(args) -> tuple[dict, int]:
             return (ser.pauli_to_obj(ch) if args.pauli_json else ser.channel_to_obj(ch.channel)), EXIT_OK
         ch = pmod.pauli_channel(basis, weights)
         return (ser.pauli_to_obj(ch) if args.pauli_json else ser.channel_to_obj(ch.channel)), EXIT_OK
+    # The other kinds are seeded random instances.
+    from .random import derived_rng
+
+    rng = derived_rng(cfg.seed, 0)
     if kind == "random":
+        from .channel import KrausChannel
+        from .random import random_kraus_operators
+
         d_out = args.dout or d
         n = args.kraus or d * d_out
         ops = random_kraus_operators(d, d_out, n, rng)
-        return ser.channel_to_obj(chn.KrausChannel(d_in=d, d_out=d_out, kraus=ops)), EXIT_OK
+        return ser.channel_to_obj(KrausChannel(d_in=d, d_out=d_out, kraus=ops)), EXIT_OK
+    from . import ebt as ebtmod
+
     if kind == "cq":
         ch = ebtmod.random_cq(d, args.dout or d, rng)
         return (ser.ebt_to_obj(ch) if args.ebt_json else ser.channel_to_obj(ch.channel)), EXIT_OK
@@ -271,6 +317,9 @@ def cmd_build(args) -> tuple[dict, int]:
 
 
 def cmd_conjugate(args) -> tuple[dict, int]:
+    from . import conjugate as conj
+    from .serialize import channel_to_obj
+
     ch = _load_channel(args.infile)
     out = conj.conjugate_channel(ch, args.method)
     code = EXIT_OK
@@ -282,10 +331,12 @@ def cmd_conjugate(args) -> tuple[dict, int]:
     if args.check_against:
         other = _load_channel(args.check_against)
         code = max(code, _check_isometry(out, other, "output vs reference"))
-    return ser.channel_to_obj(out), code
+    return channel_to_obj(out), code
 
 
 def _check_isometry(a, b, label) -> int:
+    from . import conjugate as conj
+
     try:
         rel = conj.find_relating_isometry(a, b, tol=1e-8)
     except conj.NotConjugateError as exc:
@@ -299,17 +350,26 @@ def _check_isometry(a, b, label) -> int:
 
 
 def cmd_apply(args) -> tuple[dict, int]:
+    from .channel import apply
+    from .serialize import encode_matrix
+
     ch = _load_channel(args.infile)
     rho = _load_matrix(args.state)
-    return {"matrix": ser.encode_matrix(chn.apply(ch, rho))}, EXIT_OK
+    return {"matrix": encode_matrix(apply(ch, rho))}, EXIT_OK
 
 
 def cmd_choi(args) -> tuple[dict, int]:
+    from .channel import kraus_to_choi
+    from .serialize import choi_to_obj
+
     ch = _load_channel(args.infile)
-    return ser.choi_to_obj(chn.kraus_to_choi(ch)), EXIT_OK
+    return choi_to_obj(kraus_to_choi(ch)), EXIT_OK
 
 
 def cmd_nu(args) -> tuple[dict, int]:
+    from .purity import nu_p
+    from .serialize import encode_vector
+
     cfg = _config(args)
     ch = _load_channel(args.infile)
     rep = nu_p(ch, args.p, _opts(args, cfg))
@@ -319,12 +379,15 @@ def cmd_nu(args) -> tuple[dict, int]:
         "converged": rep.converged,
         "restarts": rep.restarts,
         "iterations": rep.iterations,
-        "optimizer_state": ser.encode_vector(rep.optimizer_state),
+        "optimizer_state": encode_vector(rep.optimizer_state),
     }
     return _report("nu", cfg, results), EXIT_OK
 
 
 def cmd_smin(args) -> tuple[dict, int]:
+    from .purity import s_min
+    from .serialize import encode_vector
+
     cfg = _config(args)
     ch = _load_channel(args.infile)
     base = math.e if args.base == "e" else 2.0
@@ -335,12 +398,14 @@ def cmd_smin(args) -> tuple[dict, int]:
         "converged": rep.converged,
         "restarts": rep.restarts,
         "iterations": rep.iterations,
-        "optimizer_state": ser.encode_vector(rep.optimizer_state),
+        "optimizer_state": encode_vector(rep.optimizer_state),
     }
     return _report("smin", cfg, results), EXIT_OK
 
 
 def cmd_mult(args) -> tuple[dict, int]:
+    from .purity import multiplicativity_gap
+
     cfg = _config(args)
     a = _load_channel(args.a)
     b = _load_channel(args.b)
@@ -356,14 +421,18 @@ def cmd_mult(args) -> tuple[dict, int]:
 
 
 def cmd_capacity(args) -> tuple[dict, int]:
+    from .pauli import holevo_capacity_weyl
+
     cfg = _config(args)
     ch = _load_pauli(args.infile)
     base = math.e if args.base == "e" else 2.0
-    value = pmod.holevo_capacity_weyl(ch, _opts(args, cfg), base=base)
+    value = holevo_capacity_weyl(ch, _opts(args, cfg), base=base)
     return _report("capacity", cfg, {"base": args.base, "capacity": value}), EXIT_OK
 
 
-def _basis_for(args) -> pmod.PauliBasis:
+def _basis_for(args) -> PauliBasis:
+    from . import pauli as pmod
+
     if getattr(args, "product", False):
         b = pmod.build_basis(args.dim)
         return pmod.product_basis(b, b)
@@ -371,6 +440,9 @@ def _basis_for(args) -> pmod.PauliBasis:
 
 
 def cmd_pauli(args) -> tuple[dict, int]:
+    from . import pauli as pmod
+    from . import serialize as ser
+
     cfg = _config(args)
     sub = args.sub
     if sub == "lambda":
@@ -442,6 +514,9 @@ def _principal_vector(rho: np.ndarray) -> np.ndarray:
 
 
 def cmd_ebt(args) -> tuple[dict, int]:
+    from . import ebt as ebtmod
+    from . import serialize as ser
+
     cfg = _config(args)
     if args.sub == "conjugate":
         ch = ser.ebt_from_obj(_read_json(args.infile))
@@ -465,18 +540,21 @@ def cmd_ebt(args) -> tuple[dict, int]:
 
 
 def cmd_gl(args) -> tuple[dict, int]:
+    from . import gl as glmod
+    from .serialize import encode_matrix
+
     cfg = _config(args)
     ch = _load_channel(args.infile)
     p = args.p
     if args.sub == "theta":
-        return {"matrix": ser.encode_matrix(glmod.theta(ch, p))}, EXIT_OK
+        return {"matrix": encode_matrix(glmod.theta(ch, p))}, EXIT_OK
     if args.sub == "omega":
-        return {"matrix": ser.encode_matrix(glmod.omega(ch, p))}, EXIT_OK
+        return {"matrix": encode_matrix(glmod.omega(ch, p))}, EXIT_OK
     if args.sub == "verify":
+        from .random import derived_rng, random_density
+
         res1, res2 = glmod.verify_gl_identity(ch, p)
         rng = derived_rng(cfg.seed, 0)
-        from .random import random_density
-
         mixed_err = 0.0
         om = glmod.omega(ch, p)
         for _ in range(args.trials):
@@ -498,6 +576,8 @@ def cmd_gl(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    from .verify import run_suites
+
     cfg = _config(args)
     checks = run_suites(args.suite, seed=cfg.seed, trials=args.trials)
     failed = [c for c in checks if not c.passed]
@@ -526,7 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("--tol", type=_finite_float, default=1e-10, help="zero cutoff")
-    common.add_argument("--threads", default="auto", help="thread budget (QCC_THREADS overrides)")
+    common.add_argument(
+        "--threads",
+        default="auto",
+        help="recorded in the report's config; has no effect (QCC_THREADS overrides)",
+    )
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -660,12 +744,11 @@ def main(argv=None) -> int:
         payload, code = args.handler(args)
         if payload is not None:
             _emit(payload, args)
-    except conj.NotConjugateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except (ValueError, KeyError, TypeError) as exc:
+        from .conjugate import NotConjugateError
+
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_VERIFY if isinstance(exc, NotConjugateError) else EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

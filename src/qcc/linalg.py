@@ -17,6 +17,11 @@ import numpy as np
 #: genuine ones.  Everything that takes a ``tol`` argument defaults to this.
 DEFAULT_TOL = 1e-10
 
+#: Largest dimension of a channel that ``qcc build`` makes and of a Pauli
+#: basis, single or product: the basis's ``d^2`` operators hold ``d^4``
+#: complex entries, 16 MB at ``d = 32``.
+MAX_DIM = 32
+
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import KrausChannel
 from .linalg import (
     DEFAULT_TOL,
+    MAX_DIM,
     dagger,
     frobenius,
     hermitian_eigh,
@@ -24,11 +26,9 @@ from .linalg import (
     partial_trace,
     schatten_norm,
 )
-from .purity import DEFAULT_OPTS, OptimizerOptions, s_min
 
-#: Largest dimension of a Pauli basis, single or product: its ``d^2``
-#: operators hold ``d^4`` complex entries, 16 MB at ``d = 32``.
-MAX_DIM = 32
+if TYPE_CHECKING:
+    from .purity import OptimizerOptions
 
 
 def _check_dim(d: int) -> None:
@@ -687,18 +687,24 @@ def classify_product_or_me(
 
 def holevo_capacity_weyl(
     ch: PauliDiagonalChannel,
-    opts: OptimizerOptions = DEFAULT_OPTS,
+    opts: OptimizerOptions | None = None,
     base: float = 2.0,
 ) -> float:
-    """Holevo capacity ``log d - S_min`` of a Weyl-covariant channel.
+    """Holevo capacity ``log d - S_min`` of a Weyl-covariant channel;
+    ``opts`` defaults to ``purity.DEFAULT_OPTS``.
 
     Only accepts channels built by this module, where covariance holds by
     construction; the formula is unproven for anything else.
     """
+    # The optimizer is imported here, so that the rest of the module loads
+    # without it.
+    from .purity import DEFAULT_OPTS, s_min
+
     if not isinstance(ch, PauliDiagonalChannel):
         raise TypeError(
             "capacity formula requires a Pauli-diagonal (Weyl covariant) channel"
         )
+    opts = DEFAULT_OPTS if opts is None else opts
     return math.log(ch.d, base) - s_min(ch.channel, opts, base=base).value
 
 

@@ -129,11 +129,15 @@ class _Kernel:
         """``M = K psi``, shape ``(n, d_out)`` per state."""
         return (psi @ self.rows.T).reshape(psi.shape[:-1] + (self.n, self.d_out))
 
+    def gram(self, m: np.ndarray) -> np.ndarray:
+        """The smaller of ``M M^+`` and ``M^T conj(M)``; its nonzero
+        eigenvalues are the output's."""
+        return m @ _dag(m) if self.on_env else np.swapaxes(m, -1, -2) @ m.conj()
+
     def eigh(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of the smaller of ``M M^+`` and ``M^T conj(M)``,
-        eigenvalues ascending and clipped at zero."""
-        g = m @ _dag(m) if self.on_env else np.swapaxes(m, -1, -2) @ m.conj()
-        w, u = np.linalg.eigh(g)
+        """Eigenpairs of :meth:`gram`, eigenvalues ascending and clipped at
+        zero."""
+        w, u = np.linalg.eigh(self.gram(m))
         return np.clip(w, 0.0, None), u
 
     def spectrum(self, psi: np.ndarray) -> np.ndarray:
@@ -464,7 +468,10 @@ def sampled_nu_p(
     d = ch.d_in
     batch = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d))
     batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-    vals = _pnorm(_Kernel(ch).spectrum(batch), p)
+    kern = _Kernel(ch)
+    # Eigenvalues only: the samples need no eigenvectors.
+    w = np.clip(np.linalg.eigvalsh(kern.gram(kern.outputs(batch))), 0.0, None)
+    vals = _pnorm(w, p)
     best = int(np.argmax(vals))
     if not polish:
         return float(vals[best])

@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel
-from .ebt import EBTChannel, ebt_channel
-from .pauli import PauliBasis, PauliDiagonalChannel, build_basis, pauli_channel, product_basis
+
+# The Pauli and EBT codecs import their modules when called, so that reading
+# or writing a plain channel loads neither.
+if TYPE_CHECKING:
+    from .ebt import EBTChannel
+    from .pauli import PauliBasis, PauliDiagonalChannel
 
 
 def format_float(x: float) -> str:
@@ -155,14 +160,6 @@ def choi_to_obj(choi: ChoiMatrix) -> dict:
     }
 
 
-def choi_from_obj(obj) -> ChoiMatrix:
-    if not isinstance(obj, dict) or any(k not in obj for k in ("d_in", "d_out", "gamma")):
-        raise ValueError("Choi JSON needs d_in, d_out, and gamma")
-    return ChoiMatrix(
-        d_in=obj["d_in"], d_out=obj["d_out"], gamma=decode_matrix(obj["gamma"])
-    )
-
-
 def basis_tag(basis: PauliBasis) -> str:
     if basis.kind == "pauli":
         return "pauli"
@@ -181,6 +178,8 @@ def pauli_to_obj(ch: PauliDiagonalChannel) -> dict:
 def pauli_from_obj(obj) -> PauliDiagonalChannel:
     if not isinstance(obj, dict) or any(k not in obj for k in ("d", "basis", "weights")):
         raise ValueError("Pauli-diagonal JSON needs d, basis, and weights")
+    from .pauli import build_basis, pauli_channel, product_basis
+
     d, tag = obj["d"], obj["basis"]
     if not isinstance(d, int) or d < 2:
         raise ValueError("d must be an integer >= 2")
@@ -221,6 +220,8 @@ def ebt_to_obj(ch: EBTChannel) -> dict:
 def ebt_from_obj(obj) -> EBTChannel:
     if not isinstance(obj, dict) or "x" not in obj or "w" not in obj:
         raise ValueError("EBT JSON needs x and w vector lists")
+    from .ebt import ebt_channel
+
     xs = [decode_vector(v) for v in obj["x"]]
     ws = [decode_vector(v) for v in obj["w"]]
     return ebt_channel(xs, ws)

@@ -338,6 +338,23 @@ def test_usage_error_is_one_line(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: argument -p") and len(err.strip().splitlines()) == 1
 
+    # A bad value names the flag and the value, never a private parser function.
+    for argv, flag in (
+        (["nu", "--in", str(dep), "-p", "nan"], "-p"),
+        (["nu", "--in", str(dep), "-p", "abc"], "-p"),
+        (["nu", "--in", str(dep), "-p", "0.5"], "-p"),
+        (["nu", "--in", str(dep), "-p", "2", "--tol", "abc"], "--tol"),
+        (["nu", "--in", str(dep), "-p", "2", "--tol", "inf"], "--tol"),
+        (["build", "depolarizing", "-d", "2", "-b", "x"], "-b"),
+        (["verify", "--trials", "abc"], "--trials"),
+        (["gl", "verify", "--in", str(dep), "--trials", "1.5"], "--trials"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: argument {flag}: "), err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "invalid" not in err and " _" not in err, err
+
     code, out, err = run_cli(capsys, "nosuchcommand")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
