@@ -5,10 +5,15 @@ input), 3 verification failure (a requested check did not pass), 4 I/O error.
 Reports are deterministic for a fixed seed and configuration; wall-clock
 timings go to stderr so stdout stays byte-identical across runs.
 
+Each flag is defined once, in :func:`build_parser`, with its default and an
+argparse type that checks its value: a bad value is a usage error, one
+``error: argument <flag>: ...`` line and exit code 2, before any command
+runs.  Handlers read the parsed flags directly.
+
 Each command imports the modules it runs inside its handler, so that a
 command pays start-up only for those: ``build depolarizing`` loads neither
-the optimizer nor the verification suites, and ``--help`` loads no qcc
-module at all.
+the optimizer nor the verification suites, and ``--help`` loads neither
+numpy nor any qcc module.
 """
 
 from __future__ import annotations
@@ -16,15 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .channel import KrausChannel
     from .pauli import PauliBasis, PauliDiagonalChannel
     from .purity import OptimizerOptions
@@ -39,54 +42,23 @@ EXIT_IO = 4
 SUITE_NAMES = ("conjugate", "pauli", "ebt", "gl")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echoed into every report so runs are reproducible from their output."""
-
-    seed: int = 0
-    tol: float = 1e-10
-    restarts: int = 32
-    output_format: str = "json"
-    threads: str = "auto"
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-
-
-def _config(args) -> RunConfig:
-    threads = os.environ.get("QCC_THREADS", getattr(args, "threads", "auto"))
-    return RunConfig(
-        seed=args.seed,
-        tol=args.tol,
-        restarts=getattr(args, "restarts", 32),
-        output_format=args.format,
-        threads=str(threads),
-    )
-
-
-def _opts(args, cfg: RunConfig) -> OptimizerOptions:
+def _opts(args) -> OptimizerOptions:
     from .purity import OptimizerOptions
 
     return OptimizerOptions(
-        restarts=cfg.restarts,
-        tol=cfg.tol,
-        seed=cfg.seed,
-        max_iter=getattr(args, "max_iter", 2000),
+        restarts=args.restarts, tol=args.tol, seed=args.seed, max_iter=args.max_iter
     )
 
 
-def _report(command: str, cfg: RunConfig, results: dict, checks=None) -> dict:
+def _report(command: str, args, results: dict, checks=None) -> dict:
+    """Wraps ``results`` with the configuration that reproduces them."""
     rep = {
         "command": command,
         "config": {
-            "seed": cfg.seed,
-            "tol": cfg.tol,
-            "restarts": cfg.restarts,
-            "threads": cfg.threads,
-            "format": cfg.output_format,
+            "seed": args.seed,
+            "tol": args.tol,
+            "restarts": args.restarts,
+            "format": args.format,
         },
         "results": results,
     }
@@ -232,11 +204,26 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _positive_int(text: str) -> int:
+def _positive_float(text: str) -> float:
+    x = _finite_float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return x
+
+
+def _int_at_least(text: str, low: int) -> int:
     n = _number(text, int)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -264,7 +251,6 @@ def _check_build_size(args) -> None:
 def cmd_build(args) -> tuple[dict, int]:
     from . import serialize as ser
 
-    cfg = _config(args)
     _check_build_size(args)
     kind = args.kind
     d = args.dim
@@ -284,6 +270,8 @@ def cmd_build(args) -> tuple[dict, int]:
         elif kind == "pauli":
             if args.weights is None:
                 raise ValueError("pauli needs --weights w0,w1,...")
+            import numpy as np
+
             weights = np.array(_parse_floats(args.weights))
         else:  # axes
             if args.s is None or args.t is None or args.u is None:
@@ -295,7 +283,7 @@ def cmd_build(args) -> tuple[dict, int]:
     # The other kinds are seeded random instances.
     from .random import derived_rng
 
-    rng = derived_rng(cfg.seed, 0)
+    rng = derived_rng(args.seed, 0)
     if kind == "random":
         from .channel import KrausChannel
         from .random import random_kraus_operators
@@ -370,9 +358,8 @@ def cmd_nu(args) -> tuple[dict, int]:
     from .purity import nu_p
     from .serialize import encode_vector
 
-    cfg = _config(args)
     ch = _load_channel(args.infile)
-    rep = nu_p(ch, args.p, _opts(args, cfg))
+    rep = nu_p(ch, args.p, _opts(args))
     results = {
         "p": _p_echo(args.p),
         "value": rep.value,
@@ -381,17 +368,16 @@ def cmd_nu(args) -> tuple[dict, int]:
         "iterations": rep.iterations,
         "optimizer_state": encode_vector(rep.optimizer_state),
     }
-    return _report("nu", cfg, results), EXIT_OK
+    return _report("nu", args, results), EXIT_OK
 
 
 def cmd_smin(args) -> tuple[dict, int]:
     from .purity import s_min
     from .serialize import encode_vector
 
-    cfg = _config(args)
     ch = _load_channel(args.infile)
     base = math.e if args.base == "e" else 2.0
-    rep = s_min(ch, _opts(args, cfg), base=base)
+    rep = s_min(ch, _opts(args), base=base)
     results = {
         "base": args.base,
         "value": rep.value,
@@ -400,16 +386,15 @@ def cmd_smin(args) -> tuple[dict, int]:
         "iterations": rep.iterations,
         "optimizer_state": encode_vector(rep.optimizer_state),
     }
-    return _report("smin", cfg, results), EXIT_OK
+    return _report("smin", args, results), EXIT_OK
 
 
 def cmd_mult(args) -> tuple[dict, int]:
     from .purity import multiplicativity_gap
 
-    cfg = _config(args)
     a = _load_channel(args.a)
     b = _load_channel(args.b)
-    gap = multiplicativity_gap(a, b, args.p, _opts(args, cfg))
+    gap = multiplicativity_gap(a, b, args.p, _opts(args))
     results = {
         "p": _p_echo(args.p),
         "lhs": gap.lhs,
@@ -417,23 +402,22 @@ def cmd_mult(args) -> tuple[dict, int]:
         "gap": gap.gap,
         "witness_state": _vector_or_none(gap.witness_state),
     }
-    return _report("mult", cfg, results), EXIT_OK
+    return _report("mult", args, results), EXIT_OK
 
 
 def cmd_capacity(args) -> tuple[dict, int]:
     from .pauli import holevo_capacity_weyl
 
-    cfg = _config(args)
     ch = _load_pauli(args.infile)
     base = math.e if args.base == "e" else 2.0
-    value = holevo_capacity_weyl(ch, _opts(args, cfg), base=base)
-    return _report("capacity", cfg, {"base": args.base, "capacity": value}), EXIT_OK
+    value = holevo_capacity_weyl(ch, _opts(args), base=base)
+    return _report("capacity", args, {"base": args.base, "capacity": value}), EXIT_OK
 
 
 def _basis_for(args) -> PauliBasis:
     from . import pauli as pmod
 
-    if getattr(args, "product", False):
+    if args.product:
         b = pmod.build_basis(args.dim)
         return pmod.product_basis(b, b)
     return pmod.build_basis(args.dim)
@@ -443,12 +427,11 @@ def cmd_pauli(args) -> tuple[dict, int]:
     from . import pauli as pmod
     from . import serialize as ser
 
-    cfg = _config(args)
     sub = args.sub
     if sub == "lambda":
         ch = _load_pauli(args.infile)
         lam = pmod.lambda_spectrum(ch)
-        return _report("pauli lambda", cfg, {"d": ch.d, "lambda": ser.encode_vector(lam)}), EXIT_OK
+        return _report("pauli lambda", args, {"d": ch.d, "lambda": ser.encode_vector(lam)}), EXIT_OK
     if sub == "ncimage":
         basis = _basis_for(args)
         rho = _load_matrix(args.state)
@@ -467,7 +450,7 @@ def cmd_pauli(args) -> tuple[dict, int]:
                 "doubly_stochastic": checks.doubly_stochastic,
             },
         }
-        return _report("pauli ncimage", cfg, results), EXIT_OK
+        return _report("pauli ncimage", args, results), EXIT_OK
     if sub == "bound":
         ch = _load_pauli(args.infile)
         mb = pmod.majorization_bound(ch, args.p)
@@ -480,33 +463,35 @@ def cmd_pauli(args) -> tuple[dict, int]:
             "ambiguous": mb.ambiguous,
             "nu2_bound": pmod.nu2_bound(ch),
         }
-        return _report("pauli bound", cfg, results), EXIT_OK
+        return _report("pauli bound", args, results), EXIT_OK
     if sub == "subgroup":
         basis = _basis_for(args)
         rho = _load_matrix(args.state)
-        rep = pmod.subgroup_of_support(basis, rho, tol=cfg.tol)
+        rep = pmod.subgroup_of_support(basis, rho, tol=args.tol)
         results = {
             "generators": list(rep.generator_indices),
             "subgroup": list(rep.subgroup_indices),
             "order": rep.order,
             "cosets": [list(c) for c in rep.cosets],
         }
-        return _report("pauli subgroup", cfg, results), EXIT_OK
+        return _report("pauli subgroup", args, results), EXIT_OK
     if sub == "classify":
         b = pmod.build_basis(args.dim)
         basis = pmod.product_basis(b, b)
         psi = _load_vector(args.state)
-        res = pmod.classify_product_or_me(basis, psi, tol=cfg.tol)
+        res = pmod.classify_product_or_me(basis, psi, tol=args.tol)
         results = {
             "d2_decomposable": res.d2_decomposable,
             "class": res.klass,
             "schmidt_values": [float(s) for s in res.schmidt_values],
         }
-        return _report("pauli classify", cfg, results), EXIT_OK
+        return _report("pauli classify", args, results), EXIT_OK
     raise ValueError(f"unknown pauli subcommand {sub!r}")
 
 
 def _principal_vector(rho: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     w, v = np.linalg.eigh(rho)
     if w[-1] < 1.0 - 1e-8:
         raise ValueError("the explicit formula needs a pure state")
@@ -517,7 +502,6 @@ def cmd_ebt(args) -> tuple[dict, int]:
     from . import ebt as ebtmod
     from . import serialize as ser
 
-    cfg = _config(args)
     if args.sub == "conjugate":
         ch = ser.ebt_from_obj(_read_json(args.infile))
         had, kraus = ebtmod.conjugate_ebt(ch)
@@ -526,7 +510,7 @@ def cmd_ebt(args) -> tuple[dict, int]:
             "frame": [ser.encode_vector(v) for v in had.frame],
             "channel": ser.channel_to_obj(kraus),
         }
-        return _report("ebt conjugate", cfg, results), EXIT_OK
+        return _report("ebt conjugate", args, results), EXIT_OK
     if args.sub == "detect":
         ch = _load_channel(args.infile)
         det = ebtmod.is_hadamard_form(ch)
@@ -535,7 +519,7 @@ def cmd_ebt(args) -> tuple[dict, int]:
             "frame": None if det.frame is None else [ser.encode_vector(v) for v in det.frame],
             "gram": None if det.gram is None else ser.encode_matrix(det.gram),
         }
-        return _report("ebt detect", cfg, results), EXIT_OK
+        return _report("ebt detect", args, results), EXIT_OK
     raise ValueError(f"unknown ebt subcommand {args.sub!r}")
 
 
@@ -543,7 +527,6 @@ def cmd_gl(args) -> tuple[dict, int]:
     from . import gl as glmod
     from .serialize import encode_matrix
 
-    cfg = _config(args)
     ch = _load_channel(args.infile)
     p = args.p
     if args.sub == "theta":
@@ -554,7 +537,7 @@ def cmd_gl(args) -> tuple[dict, int]:
         from .random import derived_rng, random_density
 
         res1, res2 = glmod.verify_gl_identity(ch, p)
-        rng = derived_rng(cfg.seed, 0)
+        rng = derived_rng(args.seed, 0)
         mixed_err = 0.0
         om = glmod.omega(ch, p)
         for _ in range(args.trials):
@@ -571,15 +554,14 @@ def cmd_gl(args) -> tuple[dict, int]:
             "mixed_state_residual": mixed_err,
             "passed": passed,
         }
-        return _report("gl verify", cfg, results), EXIT_OK if passed else EXIT_VERIFY
+        return _report("gl verify", args, results), EXIT_OK if passed else EXIT_VERIFY
     raise ValueError(f"unknown gl subcommand {args.sub!r}")
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     from .verify import run_suites
 
-    cfg = _config(args)
-    checks = run_suites(args.suite, seed=cfg.seed, trials=args.trials)
+    checks = run_suites(args.suite, seed=args.seed, trials=args.trials)
     failed = [c for c in checks if not c.passed]
     results = {
         "suite": args.suite,
@@ -587,7 +569,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "checks_failed": len(failed),
     }
     return (
-        _report("verify", cfg, results, checks=checks),
+        _report("verify", args, results, checks=checks),
         EXIT_OK if not failed else EXIT_VERIFY,
     )
 
@@ -604,19 +586,17 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--tol", type=_finite_float, default=1e-10, help="zero cutoff")
-    common.add_argument(
-        "--threads",
-        default="auto",
-        help="recorded in the report's config; has no effect (QCC_THREADS overrides)",
-    )
+    common.add_argument("--seed", type=_nonnegative_int, default=0, help="base RNG seed")
+    common.add_argument("--tol", type=_positive_float, default=1e-10, help="zero cutoff")
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    # Every report echoes a restart count, so its default is set here for
+    # every command; the optimizer commands' --restarts only overrides it.
+    common.set_defaults(restarts=32)
 
     opt = argparse.ArgumentParser(add_help=False)
-    opt.add_argument("--restarts", type=int, default=32)
-    opt.add_argument("--max-iter", type=int, default=2000, dest="max_iter")
+    opt.add_argument("--restarts", type=_positive_int, default=argparse.SUPPRESS)
+    opt.add_argument("--max-iter", type=_positive_int, default=2000, dest="max_iter")
 
     parser = _Parser(
         prog="qcc",
@@ -629,15 +609,16 @@ def build_parser() -> argparse.ArgumentParser:
         "kind",
         choices=("identity", "noisy", "depolarizing", "pauli", "ebt", "cq", "axes", "random"),
     )
-    p_build.add_argument("-d", "--dim", type=int, required=True)
-    p_build.add_argument("--dout", type=int, default=None)
+    p_build.add_argument("-d", "--dim", type=_positive_int, required=True)
+    p_build.add_argument("--dout", type=_positive_int, default=None)
     p_build.add_argument("-b", type=_finite_float, default=None, help="depolarizing parameter")
     p_build.add_argument("--weights", default=None, help="comma-separated Pauli weights")
     p_build.add_argument("-s", type=_finite_float, default=None, help="axes: identity weight")
     p_build.add_argument("-t", default=None, help="axes: comma-separated per-axis weights")
     p_build.add_argument("-u", type=_finite_float, default=None, help="axes: noise weight")
-    p_build.add_argument("--kraus", type=int, default=None, help="random: Kraus count")
-    p_build.add_argument("-n", type=int, default=None, help="ebt: number of rank-one elements")
+    p_build.add_argument("--kraus", type=_positive_int, default=None, help="random: Kraus count")
+    p_build.add_argument("-n", type=_positive_int, default=None,
+                         help="ebt: number of rank-one elements")
     p_build.add_argument("--pauli-json", action="store_true", help="emit the Pauli-diagonal format")
     p_build.add_argument("--ebt-json", action="store_true", help="emit the EBT vector format")
     p_build.set_defaults(handler=cmd_build)
@@ -718,11 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("theta", "omega"):
         g = gl_subs.add_parser(name, parents=[common])
         g.add_argument("--in", dest="infile", required=True)
-        g.add_argument("-p", type=int, required=True)
+        g.add_argument("-p", type=_positive_int, required=True)
         g.set_defaults(handler=cmd_gl)
     gv = gl_subs.add_parser("verify", parents=[common])
     gv.add_argument("--in", dest="infile", required=True)
-    gv.add_argument("-p", type=int, default=2)
+    gv.add_argument("-p", type=_positive_int, default=2)
     gv.add_argument("--trials", type=_positive_int, default=5)
     gv.set_defaults(handler=cmd_gl)
 

@@ -178,12 +178,24 @@ def hadamard_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
+def pnorm(w: np.ndarray, p: float) -> np.ndarray:
+    """``(sum_i w_i^p)^(1/p)`` over the last axis of non-negative ``w``,
+    ``max_i w_i`` at ``p = inf``.
+
+    The sum is taken over ``(w_i / w_max)^p`` so that it cannot underflow at
+    large ``p``; each row needs a positive entry.
+    """
+    top = w.max(axis=-1)
+    if math.isinf(p):
+        return top
+    return top * ((w / top[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
+
+
 def schatten_norm(m: np.ndarray, p: float) -> float:
     """Schatten p-norm ``(sum_i sigma_i^p)^(1/p)`` of a square matrix.
 
     Uses singular values, so ``m`` need not be Hermitian.  ``p = inf``
-    returns the largest singular value.  The sum is taken over
-    ``(sigma_i / sigma_max)^p`` so that it cannot underflow at large ``p``.
+    returns the largest singular value.  See :func:`pnorm` for large ``p``.
     """
     if p < 1:
         raise ValueError(f"Schatten norm requires p >= 1, got {p}")
@@ -191,13 +203,11 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     if m.shape[0] != m.shape[1]:
         raise ValueError("schatten_norm expects a square matrix")
     s = singular_values(m)
-    if math.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    if p == 1:
-        return float(s.sum())
     if not s.size or s[0] == 0:
         return 0.0
-    return float(s[0] * ((s / s[0]) ** p).sum() ** (1.0 / p))
+    if p == 1:
+        return float(s.sum())
+    return float(pnorm(s, p))
 
 
 def von_neumann_entropy(rho: np.ndarray, base: float = 2.0, tol: float = DEFAULT_TOL) -> float:

@@ -24,6 +24,7 @@ from .linalg import (
     hermitian_eigh,
     kron,
     partial_trace,
+    pnorm,
     schatten_norm,
 )
 
@@ -242,10 +243,7 @@ def qubit_nu_p_closed_form(weights, p: float) -> float:
     """
     ch = pauli_channel(build_basis(2), weights)
     lam = np.abs(lambda_spectrum(ch)[1:]).max()
-    hi, lo = (1 + lam) / 2, (1 - lam) / 2
-    if math.isinf(p):
-        return float(hi)
-    return float((hi**p + lo**p) ** (1.0 / p))
+    return float(pnorm(np.array([1 + lam, 1 - lam]) / 2, p))
 
 
 @dataclass(frozen=True)
@@ -570,10 +568,7 @@ def majorization_bound(ch: PauliDiagonalChannel, p: float) -> MajorizationBound:
     order = np.argsort(-w, kind="stable")
     b = w[order]
     beta = b.reshape(d, d).sum(axis=1)
-    if math.isinf(p):
-        bound = float(beta.max())
-    else:
-        bound = float((beta**p).sum() ** (1.0 / p))
+    bound = float(pnorm(beta, p))
     partition = tuple(tuple(int(i) for i in order[g * d : (g + 1) * d]) for g in range(d))
     ambiguous = any(abs(b[g * d - 1] - b[g * d]) < 1e-12 for g in range(1, d))
     subgroup: bool | None = None

@@ -46,7 +46,7 @@ import numpy as np
 from . import channel as chn
 from .channel import KrausChannel
 from .conjugate import conjugate_kraus
-from .linalg import DEFAULT_TOL, Spectrum, nonzero_spectrum
+from .linalg import DEFAULT_TOL, Spectrum, nonzero_spectrum, pnorm
 from .random import derived_rng, haar_state
 
 
@@ -187,15 +187,6 @@ def _support_power(w: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def _pnorm(w: np.ndarray, p: float) -> np.ndarray:
-    """Schatten p-norm from a spectrum, scaled by its largest eigenvalue so
-    that ``w**p`` cannot underflow at large p."""
-    top = w.max(axis=-1)
-    if math.isinf(p):
-        return top
-    return top * ((w / top[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
-
-
 def _entropy_nat(w: np.ndarray) -> np.ndarray:
     """Von Neumann entropy in nats of a spectrum, ``0 log 0 = 0``."""
     return -(w * np.log(np.where(w > 0, w, 1.0))).sum(axis=-1)
@@ -217,14 +208,14 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter:
     live = np.arange(len(psi))
     m = kern.outputs(psi)
     w, u = kern.eigh(m)
-    obj = np.log(_pnorm(w, p))
+    obj = np.log(pnorm(w, p))
     for it in range(1, max_iter + 1):
         hw = _support_power(w / w[..., -1:], p - 1)
         step = np.linalg.eigh(kern.adjoint(kern.output_operator(m, w, u, hw)))[1][..., -1]
         psi[live] = step
         m = kern.outputs(step)
         w, u = kern.eigh(m)
-        new = np.log(_pnorm(w, p))
+        new = np.log(pnorm(w, p))
         done = np.abs(np.expm1(exponent * (obj - new))) <= tol
         if done.any():
             iters[live[done]] = it
@@ -344,7 +335,7 @@ def nu_p(
         engine = lambda kern, psi0: _fixed_point(kern, psi0, p, opts.tol, opts.max_iter)
     else:
         engine = lambda kern, psi0: _gradient_ascent(kern, psi0, p, opts.tol, opts.max_iter)
-    return _multistart(ch, p, opts, initial_states, engine, lambda w: _pnorm(w, p))
+    return _multistart(ch, p, opts, initial_states, engine, lambda w: pnorm(w, p))
 
 
 def s_min(
@@ -460,7 +451,6 @@ def sampled_nu_p(
     p: float,
     n_samples: int,
     rng: np.random.Generator,
-    polish: bool = True,
     opts: OptimizerOptions = DEFAULT_OPTS,
 ) -> float:
     """Independent cross-check of :func:`nu_p`: exhaustive random sampling of
@@ -471,9 +461,7 @@ def sampled_nu_p(
     kern = _Kernel(ch)
     # Eigenvalues only: the samples need no eigenvectors.
     w = np.clip(np.linalg.eigvalsh(kern.gram(kern.outputs(batch))), 0.0, None)
-    vals = _pnorm(w, p)
+    vals = pnorm(w, p)
     best = int(np.argmax(vals))
-    if not polish:
-        return float(vals[best])
     rep = nu_p(ch, p, replace(opts, restarts=0), initial_states=[batch[best]])
     return max(float(vals[best]), rep.value)

@@ -182,6 +182,9 @@ def test_pauli_subcommands(capsys, tmp_path):
     assert code == 0
     res = json.loads(out)["results"]
     assert abs(res["majorization_bound"] - (0.5 + 0.5 / 3)) < 1e-12
+    code, out, _ = run_cli(capsys, "pauli", "bound", "--in", str(dep), "-p", "2000")
+    assert code == 0
+    assert abs(json.loads(out)["results"]["majorization_bound"] - 2 / 3) < 1e-12
 
     state = tmp_path / "e0.json"
     state.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [0, 0]]]))
@@ -268,26 +271,15 @@ def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
         assert outs[0] == outs[1]
 
 
-def test_threads_env_override(capsys, tmp_path, monkeypatch):
+def test_threads_flag_is_gone_from_cli_and_config(capsys, tmp_path):
     dep = tmp_path / "dep.json"
     run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.3", "--out", str(dep))
-    monkeypatch.setenv("QCC_THREADS", "2")
-    code, out, _ = run_cli(capsys, "nu", "--in", str(dep), "-p", "2", "--restarts", "4", "--threads", "8")
+    code, out, err = run_cli(capsys, "nu", "--in", str(dep), "-p", "2", "--threads", "8")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    code, out, _ = run_cli(capsys, "nu", "--in", str(dep), "-p", "2", "--restarts", "4")
     assert code == 0
-    assert json.loads(out)["config"]["threads"] == "2"
-
-
-def test_results_independent_of_thread_setting(capsys, tmp_path):
-    dep = tmp_path / "dep.json"
-    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.3", "--out", str(dep))
-    outs = []
-    for threads in ("1", "8"):
-        code, out, _ = run_cli(
-            capsys, "nu", "--in", str(dep), "-p", "2", "--restarts", "4", "--threads", threads
-        )
-        assert code == 0
-        outs.append(json.loads(out)["results"])
-    assert outs[0] == outs[1]
+    assert list(json.loads(out)["config"]) == ["seed", "tol", "restarts", "format"]
 
 
 def test_csv_and_text_formats(capsys, tmp_path):
@@ -348,6 +340,17 @@ def test_usage_error_is_one_line(capsys, tmp_path):
         (["build", "depolarizing", "-d", "2", "-b", "x"], "-b"),
         (["verify", "--trials", "abc"], "--trials"),
         (["gl", "verify", "--in", str(dep), "--trials", "1.5"], "--trials"),
+        (["nu", "--in", str(dep), "-p", "2", "--max-iter", "-5"], "--max-iter"),
+        (["nu", "--in", str(dep), "-p", "2", "--max-iter", "0"], "--max-iter"),
+        (["nu", "--in", str(dep), "-p", "2", "--restarts", "0"], "--restarts"),
+        (["nu", "--in", str(dep), "-p", "2", "--tol", "0"], "--tol"),
+        (["conjugate", "--in", str(dep), "--tol", "0"], "--tol"),
+        (["nu", "--in", str(dep), "-p", "2", "--seed", "-1"], "--seed"),
+        (["build", "random", "-d", "2", "--kraus", "0"], "--kraus"),
+        (["build", "random", "-d", "2", "--dout", "0"], "--dout"),
+        (["build", "ebt", "-d", "2", "-n", "0"], "-n"),
+        (["build", "ebt", "-d", "0"], "-d/--dim"),
+        (["gl", "theta", "--in", str(dep), "-p", "0"], "-p"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -18,20 +18,20 @@ import qcc
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
-def loaded_after(code: str, cwd) -> set[str]:
-    """qcc submodules in ``sys.modules`` after ``code`` runs in a fresh
-    interpreter, without the ``qcc.`` prefix."""
+def loaded_after(code: str, cwd, prefix: str = "qcc.") -> set[str]:
+    """Modules named ``prefix...`` in ``sys.modules`` after ``code`` runs in
+    a fresh interpreter, without the prefix."""
     script = (
         code
         + "\nimport json, sys"
-        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('qcc.'))))"
+        + f"\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=ENV, cwd=cwd, capture_output=True, text=True,
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    return {m.removeprefix("qcc.") for m in json.loads(out.stdout.splitlines()[-1])}
+    return {m.removeprefix(prefix) for m in json.loads(out.stdout.splitlines()[-1])}
 
 
 def loaded_by_command(cwd, *argv) -> set[str]:
@@ -57,6 +57,14 @@ def test_import_cli_loads_no_command_module(tmp_path):
 def test_help_and_parser_load_no_command_module(tmp_path):
     code = "from qcc.cli import build_parser, main\nbuild_parser()\nassert main(['--help']) == 0"
     assert loaded_after(code, tmp_path) == {"cli"}
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("nu", "--help"), ("nu", "--in", "x.json", "-p", "2", "--tol", "0")]
+)
+def test_help_and_usage_errors_load_no_numpy(tmp_path, argv):
+    code = f"from qcc.cli import main\nmain({list(argv)!r})"
+    assert loaded_after(code, tmp_path, prefix="numpy") == set()
 
 
 @pytest.mark.parametrize(

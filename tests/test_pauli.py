@@ -393,6 +393,14 @@ def test_majorization_bound_depolarizing():
     assert mb12.bound - val12 > 1e-3
 
 
+def test_norm_formulas_do_not_underflow_at_large_p():
+    # Every beta_j (or output eigenvalue) is below 1, so beta_j^p underflows
+    # to 0 without scaling; the bounds must still land on nu_inf.
+    ch = pm.pauli_channel(pm.build_basis(3), pm.depolarizing_weights(3, 0.5))
+    assert abs(pm.majorization_bound(ch, 2000).bound - 2 / 3) < 1e-12
+    assert abs(pm.qubit_nu_p_closed_form([0.7, 0.1, 0.1, 0.1], 5000) - 0.8) < 1e-12
+
+
 def test_majorization_bound_ambiguity_flag():
     b2 = pm.build_basis(2)
     mb = pm.majorization_bound(pm.pauli_channel(b2, pm.depolarizing_weights(2, 0.5)), 2)

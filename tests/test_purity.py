@@ -8,6 +8,7 @@ from qcc import channel as chn
 from qcc import purity
 from qcc.channel import KrausChannel
 from qcc.conjugate import conjugate_kraus
+from qcc.linalg import pnorm
 from qcc.pauli import (
     build_basis,
     depolarizing_weights,
@@ -181,7 +182,7 @@ def test_gradient_engine_never_descends_from_its_start():
             psi = haar_state(ch.d_in, rng)
             w = kern.spectrum(psi)
             rep = nu_p(ch, 1.5, one, initial_states=[psi])
-            assert rep.value >= purity._pnorm(w, 1.5)
+            assert rep.value >= pnorm(w, 1.5)
             rep = s_min(ch, one, base=math.e, initial_states=[psi])
             assert rep.value <= purity._entropy_nat(w)
 
