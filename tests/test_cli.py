@@ -271,15 +271,31 @@ def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
         assert outs[0] == outs[1]
 
 
-def test_threads_flag_is_gone_from_cli_and_config(capsys, tmp_path):
+def test_threads_env_override(capsys, tmp_path, monkeypatch):
+    # QCC_THREADS is no longer read: it neither enters config nor changes stdout.
     dep = tmp_path / "dep.json"
     run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.3", "--out", str(dep))
-    code, out, err = run_cli(capsys, "nu", "--in", str(dep), "-p", "2", "--threads", "8")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    code, out, _ = run_cli(capsys, "nu", "--in", str(dep), "-p", "2", "--restarts", "4")
+    argv = ("nu", "--in", str(dep), "-p", "2", "--restarts", "4")
+    code, plain, _ = run_cli(capsys, *argv)
     assert code == 0
+    monkeypatch.setenv("QCC_THREADS", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == plain
     assert list(json.loads(out)["config"]) == ["seed", "tol", "restarts", "format"]
+
+
+def test_results_independent_of_thread_setting(capsys, tmp_path):
+    # There is no thread setting: --threads, whatever its value, is a usage error.
+    dep = tmp_path / "dep.json"
+    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.3", "--out", str(dep))
+    for threads in ("1", "8"):
+        code, out, err = run_cli(
+            capsys, "nu", "--in", str(dep), "-p", "2", "--restarts", "4", "--threads", threads
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--threads" in err
 
 
 def test_csv_and_text_formats(capsys, tmp_path):
