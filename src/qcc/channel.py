@@ -144,6 +144,16 @@ def adjoint_apply(ch: KrausChannel, a: np.ndarray) -> np.ndarray:
     return (ch.kraus.conj().transpose(0, 2, 1) @ a @ ch.kraus).sum(axis=0)
 
 
+def adjoint_superoperator(ch: KrausChannel) -> np.ndarray:
+    """The adjoint as a ``(d_in^2, d_out^2)`` matrix ``S`` acting on
+    row-major vectorized operators: ``vec(Phi^+(A)) = S vec(A)``, with
+    ``S[(c, c'), (a, a')] = sum_k conj(F_k[a, c]) F_k[a', c']``."""
+    n, d_out, d_in = ch.kraus.shape
+    vecs = ch.kraus.reshape(n, d_out * d_in)
+    sup = (dagger(vecs) @ vecs).reshape(d_out, d_in, d_out, d_in)  # [a, c, a', c']
+    return sup.transpose(1, 3, 0, 2).reshape(d_in * d_in, d_out * d_out)
+
+
 def validate_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> CPTReport:
     """Diagnostic CPT check.
 

@@ -78,14 +78,11 @@ def theta(ch: KrausChannel, p: int) -> np.ndarray:
 def _apply_adjoint_to_factor(ch: KrausChannel, m: np.ndarray, i: int, p: int) -> np.ndarray:
     """Adjoint channel on tensor factor ``i`` of a matrix on p output factors
     (the other factors' dimensions may already have been converted)."""
-    n, d_out, d_in = ch.kraus.shape
+    d_out, d_in = ch.d_out, ch.d_in
     left = d_in**i  # factors below i are already converted
     right = m.shape[0] // (left * d_out)
-    vecs = ch.kraus.reshape(n, d_out * d_in)
-    # sup[(b, c), (a, d)] = sum_k conj(F_k[b, a]) F_k[c, d]
-    sup = (dagger(vecs) @ vecs).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
     t = m.reshape(left, d_out, right, left, d_out, right).transpose(0, 2, 3, 5, 1, 4)
-    out = t.reshape(-1, d_out * d_out) @ sup.reshape(d_out * d_out, d_in * d_in)
+    out = t.reshape(-1, d_out * d_out) @ chn.adjoint_superoperator(ch).T
     out = out.reshape(left, right, left, right, d_in, d_in).transpose(0, 4, 1, 2, 5, 3)
     new_dim = left * d_in * right
     return out.reshape(new_dim, new_dim)

@@ -15,6 +15,17 @@ on the smaller one.  The adjoint ``Phi^+(X)`` is two reshaped matrix
 products, and the gradient ``Phi^+(X) psi = K_r^+ vec(M X^T)`` (``K_r`` the
 stack reshaped to ``(n d_out) x d_in``) never forms ``Phi^+(X)``.
 
+A gap's product run uses the same kernel built from the two factors, never
+from the product's ``(n1 n2, d1_out d2_out, d1_in d2_in)`` Kraus stack.  With
+``Psi`` the ``d1_in x d2_in`` reshape of ``psi`` and ``F_r``, ``G_r`` the
+factors' stacks reshaped to ``(n d_out) x d_in``, the outputs are
+``F_r Psi G_r^T`` regrouped to the product's ``(k1 k2, a1 a2)`` layout; the
+adjoint is ``S_1 X S_2^T`` on the ``(a1 a1', a2 a2')`` regrouping of ``X``,
+each ``S`` a factor's ``(d_in^2, d_out^2)`` adjoint superoperator; and the
+gradient is ``F_r^+ Y conj(G_r)`` on the ``(n1 d1_out, n2 d2_out)``
+regrouping of ``Y = M h(sigma)^T``.  The Gram matrices, their eigenpairs and
+both engines are shared with the single-channel kernel.
+
 For p >= 2 the engine is the fixed-point iteration
 
     psi  <-  principal eigenvector of  Phi^+( Phi(psi psi^+)^(p-1) ),
@@ -118,6 +129,7 @@ class _Kernel:
     """
 
     def __init__(self, ch: KrausChannel):
+        chn.require_cpt(ch, tol=1e-8)
         self.n, self.d_out, self.d_in = ch.kraus.shape
         self.kraus = ch.kraus
         self.rows = ch.kraus.reshape(self.n * self.d_out, self.d_in)
@@ -157,8 +169,8 @@ class _Kernel:
         """``Phi^+(X) = K_r^+ (X K)``, ``X`` of shape ``(d_out, d_out)``.
 
         Takes as many restarts at a time as keep ``X K`` within
-        ``_ADJOINT_ENTRIES``, so that a large channel, such as a product,
-        costs no more memory than one restart.
+        ``_ADJOINT_ENTRIES``, so that a large channel costs no more memory
+        than one restart.
         """
         lead, x = x.shape[:-2], x.reshape((-1,) + x.shape[-2:])
         step = max(1, _ADJOINT_ENTRIES // self.kraus.size)
@@ -172,11 +184,66 @@ class _Kernel:
     def pull_back(self, m, u, h) -> np.ndarray:
         """``Phi^+(h(sigma)) psi = K_r^+ vec(M h(sigma)^T)`` for one state, with
         ``h`` given on the Gram eigenpairs ``u``."""
+        return self.rows_h @ self.weighted_outputs(m, u, h).reshape(-1)
+
+    def weighted_outputs(self, m, u, h) -> np.ndarray:
+        """``M h(sigma)^T`` for one state, with ``h`` given on the Gram
+        eigenpairs ``u``."""
         if self.on_env:
-            y = (u * h) @ (_dag(u) @ m)  # h(M M^+) M = M h(sigma)^T
-        else:
-            y = ((m @ u.conj()) * h) @ u.T
-        return self.rows_h @ y.reshape(-1)
+            return (u * h) @ (_dag(u) @ m)  # h(M M^+) M = M h(sigma)^T
+        return ((m @ u.conj()) * h) @ u.T
+
+
+class _ProductKernel(_Kernel):
+    """Pure-state kernel of ``Phi_1 (x) Phi_2``, built from the two factors.
+
+    Its outputs, spectra and output operators are those of the
+    :class:`_Kernel` of the product's Kraus stack ``F_i (x) G_j``, pair
+    ``(i, j)`` first-factor major, but that stack is never formed.
+    :meth:`gram`, :meth:`eigh`, :meth:`spectrum` and
+    :meth:`output_operator` are inherited unchanged.
+    """
+
+    def __init__(self, ch1: KrausChannel, ch2: KrausChannel):
+        chn.require_cpt(ch1, tol=1e-8)
+        chn.require_cpt(ch2, tol=1e-8)
+        self.dims = (ch1.n_kraus, ch1.d_out, ch1.d_in, ch2.n_kraus, ch2.d_out, ch2.d_in)
+        n1, o1, i1, n2, o2, i2 = self.dims
+        self.n, self.d_out, self.d_in = n1 * n2, o1 * o2, i1 * i2
+        self.f_rows = ch1.kraus.reshape(n1 * o1, i1)
+        self.g_rows = ch2.kraus.reshape(n2 * o2, i2)
+        self.f_rows_h = self.f_rows.conj().T
+        self.g_rows_conj = self.g_rows.conj()
+        #: The factors' adjoints as ``(d_in^2, d_out^2)`` superoperators.
+        self.sup1 = chn.adjoint_superoperator(ch1)
+        self.sup2 = chn.adjoint_superoperator(ch2)
+        self.on_env = self.n < self.d_out
+
+    def outputs(self, psi: np.ndarray) -> np.ndarray:
+        """``M[(i, j), (a, b)] = (F_i Psi G_j^T)[a, b]``."""
+        n1, o1, i1, n2, o2, i2 = self.dims
+        lead = psi.shape[:-1]
+        big = self.f_rows @ psi.reshape(lead + (i1, i2)) @ self.g_rows.T
+        m = np.swapaxes(big.reshape(lead + (n1, o1, n2, o2)), -3, -2)
+        return m.reshape(lead + (self.n, self.d_out))
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """``(Phi_1^+ (x) Phi_2^+)(X) = S_1 X S_2^T`` on the ``(a1 a1', a2 a2')``
+        regrouping of ``X``."""
+        n1, o1, i1, n2, o2, i2 = self.dims
+        lead = x.shape[:-2]
+        x = np.swapaxes(x.reshape(lead + (o1, o2, o1, o2)), -3, -2)
+        y = self.sup1 @ x.reshape(lead + (o1 * o1, o2 * o2)) @ self.sup2.T
+        y = np.swapaxes(y.reshape(lead + (i1, i1, i2, i2)), -3, -2)
+        return y.reshape(lead + (self.d_in, self.d_in))
+
+    def pull_back(self, m, u, h) -> np.ndarray:
+        """``F_r^+ Y conj(G_r)``, with ``Y`` the ``(n1 d1_out, n2 d2_out)``
+        regrouping of ``M h(sigma)^T``."""
+        n1, o1, i1, n2, o2, i2 = self.dims
+        y = self.weighted_outputs(m, u, h).reshape(n1, n2, o1, o2).swapaxes(1, 2)
+        g = self.f_rows_h @ y.reshape(n1 * o1, n2 * o2) @ self.g_rows_conj
+        return g.reshape(-1)
 
 
 def _support_power(w: np.ndarray, q: float) -> np.ndarray:
@@ -293,14 +360,12 @@ def _gradient_ascent(kern: _Kernel, starts: np.ndarray, p, tol: float, max_iter:
     return np.array(psi), np.array(iters), np.array(conv)
 
 
-def _multistart(ch: KrausChannel, p: float, opts: OptimizerOptions, initial_states, engine, score):
-    """Run ``engine(kernel, starts)`` from ``initial_states`` and
+def _multistart(kern: _Kernel, p: float, opts: OptimizerOptions, initial_states, engine, score):
+    """Run ``engine(kern, starts)`` from ``initial_states`` and
     ``opts.restarts`` Haar-random states; report the final state whose
     spectrum has the highest ``score``, the first one on ties."""
-    chn.require_cpt(ch, tol=1e-8)
-    kern = _Kernel(ch)
     starts = [np.asarray(s, dtype=complex) for s in initial_states]
-    starts += [haar_state(ch.d_in, derived_rng(opts.seed, r)) for r in range(opts.restarts)]
+    starts += [haar_state(kern.d_in, derived_rng(opts.seed, r)) for r in range(opts.restarts)]
     psi0 = np.array([s / np.linalg.norm(s) for s in starts])
     psi, iters, conv = engine(kern, psi0)
     vals = score(kern.spectrum(psi))
@@ -329,13 +394,18 @@ def nu_p(
     can be supplied via ``initial_states`` (used e.g. to seed a product
     channel with the product of single-channel optimizers).
     """
+    return _nu_p(_Kernel(ch), p, opts, initial_states)
+
+
+def _nu_p(kern: _Kernel, p: float, opts: OptimizerOptions, initial_states=()) -> PurityReport:
+    """:func:`nu_p` on a kernel."""
     if p < 1:
         raise ValueError(f"nu_p requires p >= 1, got {p}")
     if p >= 2:
         engine = lambda kern, psi0: _fixed_point(kern, psi0, p, opts.tol, opts.max_iter)
     else:
         engine = lambda kern, psi0: _gradient_ascent(kern, psi0, p, opts.tol, opts.max_iter)
-    return _multistart(ch, p, opts, initial_states, engine, lambda w: pnorm(w, p))
+    return _multistart(kern, p, opts, initial_states, engine, lambda w: pnorm(w, p))
 
 
 def s_min(
@@ -348,8 +418,13 @@ def s_min(
 
     A certified upper bound achieved by ``optimizer_state``.
     """
+    return _s_min(_Kernel(ch), opts, base, initial_states)
+
+
+def _s_min(kern: _Kernel, opts: OptimizerOptions, base: float, initial_states=()) -> PurityReport:
+    """:func:`s_min` on a kernel."""
     engine = lambda kern, psi0: _gradient_ascent(kern, psi0, None, opts.tol, opts.max_iter)
-    rep = _multistart(ch, 1.0, opts, initial_states, engine, lambda w: -_entropy_nat(w))
+    rep = _multistart(kern, 1.0, opts, initial_states, engine, lambda w: -_entropy_nat(w))
     return replace(rep, value=-rep.value / math.log(base))
 
 
@@ -371,32 +446,35 @@ def spectrum_pair_check(
 
 
 def _gap_reports(run, ch1: KrausChannel, ch2: KrausChannel, opts: OptimizerOptions, better):
-    """Single-channel and product reports for a gap.
+    """Single-channel and product reports for a gap; ``run(kern, opts,
+    initial_states=...)`` optimizes on a kernel.
 
-    The product run is seeded with the tensor product of the single-channel
-    optima.  The single runs are then seeded once more with the principal
-    Schmidt factors of the product optimum, so that a single run that missed
-    an optimum the product run found does not show up as a gap.  If that
-    improves a single run, the product run is seeded once more with the new
-    product state, so that it again starts from the best product state found.
+    The product run is optimized on :class:`_ProductKernel` and seeded with
+    the tensor product of the single-channel optima.  The single runs are
+    then seeded once more with the principal Schmidt factors of the product
+    optimum, so that a single run that missed an optimum the product run
+    found does not show up as a gap.  If that improves a single run, the
+    product run is seeded once more with the new product state, so that it
+    again starts from the best product state found.
     """
     once = replace(opts, restarts=0)
 
-    def rerun(rep: PurityReport, ch: KrausChannel, start: np.ndarray) -> PurityReport:
+    def rerun(rep: PurityReport, kern: _Kernel, start: np.ndarray) -> PurityReport:
         # rep, or a run from start alone if it does better; both runs count.
-        alt = run(ch, once, initial_states=[start])
+        alt = run(kern, once, initial_states=[start])
         best = alt if better(alt.value, rep.value) else rep
         return replace(
             best, restarts=rep.restarts + alt.restarts, iterations=rep.iterations + alt.iterations
         )
 
-    r1 = run(ch1, opts)
-    r2 = run(ch2, opts)
-    product = chn.tensor(ch1, ch2)
+    k1, k2 = _Kernel(ch1), _Kernel(ch2)
+    r1 = run(k1, opts)
+    r2 = run(k2, opts)
+    product = _ProductKernel(ch1, ch2)
     r12 = run(product, opts, initial_states=[np.kron(r1.optimizer_state, r2.optimizer_state)])
     u, _, vh = np.linalg.svd(r12.optimizer_state.reshape(ch1.d_in, ch2.d_in))
-    s1 = rerun(r1, ch1, u[:, 0])
-    s2 = rerun(r2, ch2, vh[0])
+    s1 = rerun(r1, k1, u[:, 0])
+    s2 = rerun(r2, k2, vh[0])
     if better(s1.value, r1.value) or better(s2.value, r2.value):
         r12 = rerun(r12, product, np.kron(s1.optimizer_state, s2.optimizer_state))
     return s1, s2, r12
@@ -420,7 +498,7 @@ def multiplicativity_gap(
     ``witness_tol`` (a candidate multiplicativity violation).
     """
     r1, r2, r12 = _gap_reports(
-        lambda ch, o, **kw: nu_p(ch, p, o, **kw), ch1, ch2, opts, operator.gt
+        lambda kern, o, **kw: _nu_p(kern, p, o, **kw), ch1, ch2, opts, operator.gt
     )
     lhs = r12.value
     rhs = r1.value * r2.value
@@ -439,7 +517,7 @@ def additivity_gap_entropy(
     optimizer slack; product states are feasible for the joint infimum).
     The runs are seeded as in :func:`multiplicativity_gap`."""
     r1, r2, r12 = _gap_reports(
-        lambda ch, o, **kw: s_min(ch, o, base=base, **kw), ch1, ch2, opts, operator.lt
+        lambda kern, o, **kw: _s_min(kern, o, base, **kw), ch1, ch2, opts, operator.lt
     )
     rhs = r1.value + r2.value
     lhs = r12.value
@@ -463,5 +541,5 @@ def sampled_nu_p(
     w = np.clip(np.linalg.eigvalsh(kern.gram(kern.outputs(batch))), 0.0, None)
     vals = pnorm(w, p)
     best = int(np.argmax(vals))
-    rep = nu_p(ch, p, replace(opts, restarts=0), initial_states=[batch[best]])
+    rep = _nu_p(kern, p, replace(opts, restarts=0), initial_states=[batch[best]])
     return max(float(vals[best]), rep.value)

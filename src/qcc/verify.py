@@ -3,7 +3,8 @@ runnable as named checks with per-check pass/fail and worst-case errors.
 
 Each suite function takes a seed and a trial count and returns a list of
 :class:`CheckResult`.  Suites are deterministic for a fixed seed: every check
-derives its own generator from ``(seed, check index)``.
+derives its own generator from ``(seed, check index)``.  Each suite imports
+the modules it checks, so that running one suite loads no other's.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import numpy as np
 
 from . import channel as chn
 from . import conjugate as conj
-from . import ebt as ebtmod
-from . import gl as glmod
-from . import pauli as pmod
 from .channel import KrausChannel
 from .linalg import (
     dagger,
@@ -28,14 +26,6 @@ from .linalg import (
     nonzero_spectrum,
     partial_trace,
     schatten_norm,
-)
-from .purity import (
-    OptimizerOptions,
-    multiplicativity_gap,
-    nu_p,
-    s_min,
-    sampled_nu_p,
-    spectrum_pair_check,
 )
 from .random import (
     derived_rng,
@@ -72,6 +62,15 @@ def _random_channel(rng, d_max=4, n_max=6) -> KrausChannel:
 # ----------------------------------------------------------------- conjugate
 
 def suite_conjugate(seed: int = 0, trials: int = 20) -> list[CheckResult]:
+    from .purity import (
+        OptimizerOptions,
+        multiplicativity_gap,
+        nu_p,
+        s_min,
+        sampled_nu_p,
+        spectrum_pair_check,
+    )
+
     out: list[CheckResult] = []
 
     rng = derived_rng(seed, 1)
@@ -257,6 +256,9 @@ def suite_conjugate(seed: int = 0, trials: int = 20) -> list[CheckResult]:
 # --------------------------------------------------------------------- pauli
 
 def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
+    from . import pauli as pmod
+    from .purity import OptimizerOptions, nu_p
+
     out: list[CheckResult] = []
     bases = {d: pmod.build_basis(d) for d in (2, 3, 4, 5)}
 
@@ -461,6 +463,9 @@ def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
 # ----------------------------------------------------------------------- ebt
 
 def suite_ebt(seed: int = 0, trials: int = 8) -> list[CheckResult]:
+    from . import ebt as ebtmod
+    from .purity import OptimizerOptions, multiplicativity_gap
+
     out: list[CheckResult] = []
 
     rng = derived_rng(seed, 41)
@@ -558,6 +563,8 @@ def _random_generic(rng) -> KrausChannel:
 # ------------------------------------------------------------------------ gl
 
 def suite_gl(seed: int = 0, trials: int = 10) -> list[CheckResult]:
+    from . import gl as glmod
+
     out: list[CheckResult] = []
 
     err = 0.0

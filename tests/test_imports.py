@@ -110,6 +110,13 @@ def test_capacity_loads_the_optimizer_it_needs(tmp_path):
     assert not loaded & {"verify", "gl", "ebt"}
 
 
+def test_verify_suite_loads_only_its_modules(tmp_path):
+    loaded = loaded_by_command(tmp_path, "verify", "--suite", "gl", "--trials", "1",
+                               "--out", "v.json")
+    assert {"verify", "gl"} <= loaded
+    assert not loaded & {"pauli", "ebt", "purity"}
+
+
 def test_every_export_is_its_module_attribute():
     assert len(qcc.__all__) == 71 == len(set(qcc.__all__))
     for name in qcc.__all__:

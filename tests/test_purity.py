@@ -127,6 +127,108 @@ def test_kernel_matches_density_matrix_channel(shape, monkeypatch):
         assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
+#: Factor shapes for the product kernel: each factor has n < d_out in one
+#: pair and n > d_out in another, d_in != d_out, or one Kraus operator, and
+#: the products' Gram matrices fall on both sides (on_env True and False).
+PRODUCT_SHAPES = [
+    ((3, 4, 2), (2, 2, 5)),
+    ((2, 2, 5), (4, 3, 3)),
+    ((4, 3, 3), (3, 5, 1)),
+    ((3, 5, 1), (2, 3, 2)),
+    ((2, 3, 2), (3, 2, 4)),
+]
+
+
+def test_product_shapes_cover_both_gram_matrices():
+    on_env = {n1 * n2 < o1 * o2 for (_, o1, n1), (_, o2, n2) in PRODUCT_SHAPES}
+    assert on_env == {True, False}
+
+
+@pytest.mark.parametrize("shapes", PRODUCT_SHAPES)
+def test_product_kernel_matches_tensor_kernel(shapes):
+    rng = rng_from_seed(23)
+    c1, c2 = random_channel(rng, *shapes[0]), random_channel(rng, *shapes[1])
+    kern = purity._ProductKernel(c1, c2)
+    ref = _Kernel(chn.tensor(c1, c2))
+    assert (kern.n, kern.d_out, kern.d_in, kern.on_env) == (ref.n, ref.d_out, ref.d_in, ref.on_env)
+
+    psis = np.stack([haar_state(ref.d_in, rng) for _ in range(4)])
+    assert np.abs(kern.outputs(psis) - ref.outputs(psis)).max() < 1e-12
+    assert np.abs(kern.spectrum(psis) - ref.spectrum(psis)).max() < 1e-12
+
+    d = ref.d_out
+    xs = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    xs = xs + purity._dag(xs)
+    assert np.abs(kern.adjoint(xs[0]) - ref.adjoint(xs[0])).max() < 1e-12
+    assert np.abs(kern.adjoint(xs) - ref.adjoint(xs)).max() < 1e-12
+
+    # Gradient vectors, for h(0) = 0 and for the entropy's h(0) != 0.
+    psi = psis[0]
+    m = kern.outputs(psi)
+    w, u = kern.eigh(m)
+    for h in (lambda t: t**2, lambda t: np.log(np.maximum(t, 1e-18)) + 1.0):
+        assert np.abs(kern.pull_back(m, u, h(w)) - ref.pull_back(m, u, h(w))).max() < 1e-12
+
+
+def test_gaps_never_build_the_product_stack(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("channel.tensor called")
+
+    monkeypatch.setattr(chn, "tensor", refuse)
+    rng = rng_from_seed(24)
+    c1, c2 = random_channel(rng, 2, 3, 2), random_channel(rng, 3, 2, 4)
+    assert multiplicativity_gap(c1, c2, 2, FAST).gap > -1e-8
+    assert additivity_gap_entropy(c1, c2, FAST).gap > -1e-8
+
+
+def test_product_of_dimension_25():
+    # A random d = 5, 25-Kraus channel against itself: 625 Kraus operators
+    # of size 25 x 25 if the product were formed.
+    ch = random_channel(derived_rng(25, 0), 5, 5, 25)
+    gap = multiplicativity_gap(ch, ch, 2, OptimizerOptions(restarts=2, seed=0))
+    assert gap.gap >= -1e-8
+    psi = gap.report_12.optimizer_state
+    m = np.einsum("iab,bc,jdc->ijad", ch.kraus, psi.reshape(5, 5), ch.kraus).reshape(625, 25)
+    sigma = m.T @ m.conj()
+    want = np.sqrt((np.clip(np.linalg.eigvalsh(sigma), 0, None) ** 2).sum())
+    assert abs(gap.report_12.value - want) < 1e-9
+
+
+def werner_holevo(d: int = 3) -> KrausChannel:
+    """``Phi(rho) = (I - rho^T) / (d - 1)``, Kraus operators
+    ``(|i><j| - |j><i|) / sqrt(d - 1)`` for i < j."""
+    ops = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            k = np.zeros((d, d))
+            k[i, j], k[j, i] = 1.0, -1.0
+            ops.append(k / math.sqrt(d - 1))
+    return KrausChannel.from_operators(ops)
+
+
+def test_werner_holevo_gap_is_detected_and_matches_conjugates():
+    # Positive control: the d = 3 Werner-Holevo channel is multiplicative
+    # for p <= 4 and not for p > 4.79, where the maximally entangled input
+    # beats every product state.  The paper's corollary makes the gap the
+    # same for the channel, its conjugate and the mixed pair.
+    wh = werner_holevo()
+    cc = conjugate_kraus(wh)
+    omega = np.eye(3).reshape(-1) / math.sqrt(3)
+    sigma = chn.apply(chn.tensor(wh, wh), np.outer(omega, omega))
+    entangled = np.clip(np.linalg.eigvalsh(sigma), 0, None)
+    for p, floor in ((2, None), (4, None), (5, 3.9e-3), (8, 3.5e-2)):
+        g = multiplicativity_gap(wh, wh, p)
+        if floor is None:
+            assert abs(g.gap) <= 1e-10
+        else:
+            assert g.gap >= floor
+            assert g.witness_state is not None
+            assert abs(g.lhs - pnorm(entangled, p)) <= 1e-10
+        for c1, c2 in ((cc, cc), (wh, cc)):
+            assert abs(multiplicativity_gap(c1, c2, p).gap - g.gap) <= 1e-10
+    assert abs(additivity_gap_entropy(wh, wh).gap) <= 1e-10
+
+
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
 def test_batched_fixed_point_matches_one_restart_at_a_time(shape):
     d_in, d_out, n = shape
