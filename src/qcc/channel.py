@@ -66,9 +66,6 @@ class KrausChannel:
     def n_kraus(self) -> int:
         return self.kraus.shape[0]
 
-    def operators(self) -> list[np.ndarray]:
-        return list(self.kraus)
-
 
 @dataclass(frozen=True)
 class ChoiMatrix:
@@ -93,14 +90,12 @@ class ChoiMatrix:
 @dataclass(frozen=True)
 class AncillaRep:
     """Ancilla (Stinespring-style) representation: an isometry into
-    (output) (x) (environment) plus the index of the environment basis
-    vector that plays the fixed ancilla state."""
+    (output) (x) (environment)."""
 
     d_in: int
     d_out: int
     env_dim: int
     isometry: np.ndarray
-    env_state_index: int = 0
 
     def __post_init__(self):
         v = as_complex(self.isometry)

@@ -8,7 +8,8 @@ timings go to stderr so stdout stays byte-identical across runs.
 Each flag is defined once, in :func:`build_parser`, with its default and an
 argparse type that checks its value: a bad value is a usage error, one
 ``error: argument <flag>: ...`` line and exit code 2, before any command
-runs.  Handlers read the parsed flags directly.
+runs.  Handlers read the parsed flags directly, and each command takes
+only the flags its handler reads: any other flag is a usage error.
 
 Each command imports the modules it runs inside its handler, so that a
 command pays start-up only for those: ``build depolarizing`` loads neither
@@ -51,15 +52,13 @@ def _opts(args) -> OptimizerOptions:
 
 
 def _report(command: str, args, results: dict, checks=None) -> dict:
-    """Wraps ``results`` with the configuration that reproduces them."""
+    """Wraps ``results`` with the configuration that reproduces them: those
+    of ``--seed``, ``--tol``, ``--restarts`` and ``--format`` that the
+    command takes."""
+    config = ("seed", "tol", "restarts", "format")
     rep = {
         "command": command,
-        "config": {
-            "seed": args.seed,
-            "tol": args.tol,
-            "restarts": args.restarts,
-            "format": args.format,
-        },
+        "config": {k: getattr(args, k) for k in config if hasattr(args, k)},
         "results": results,
     }
     if checks is not None:
@@ -139,21 +138,17 @@ def _render(payload: dict, fmt: str) -> str:
         from .serialize import dumps
 
         return dumps(payload, indent=2) + "\n"
+    rows: list[tuple[str, str]] = []
+    _flatten("", payload, rows)
     if fmt == "csv":
-        rows: list[tuple[str, str]] = []
-        _flatten("", payload, rows)
         lines = ["key,value"]
         for k, v in rows:
             if "," in v or '"' in v:
                 v = json.dumps(v)
             lines.append(f"{k},{v}")
         return "\n".join(lines) + "\n"
-    if fmt == "text":
-        rows = []
-        _flatten("", payload, rows)
-        width = max((len(k) for k, _ in rows), default=0)
-        return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
-    raise ValueError(f"unknown output format {fmt!r}")
+    width = max((len(k) for k, _ in rows), default=0)
+    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
 
 def _emit(payload: dict, args) -> None:
@@ -297,11 +292,9 @@ def cmd_build(args) -> tuple[dict, int]:
     if kind == "cq":
         ch = ebtmod.random_cq(d, args.dout or d, rng)
         return (ser.ebt_to_obj(ch) if args.ebt_json else ser.channel_to_obj(ch.channel)), EXIT_OK
-    if kind == "ebt":
-        n = args.n or d + 1
-        ch = ebtmod.random_ebt(d, args.dout or d, n, rng)
-        return (ser.ebt_to_obj(ch) if args.ebt_json else ser.channel_to_obj(ch.channel)), EXIT_OK
-    raise ValueError(f"unknown build kind {kind!r}")
+    n = args.n or d + 1  # ebt
+    ch = ebtmod.random_ebt(d, args.dout or d, n, rng)
+    return (ser.ebt_to_obj(ch) if args.ebt_json else ser.channel_to_obj(ch.channel)), EXIT_OK
 
 
 def cmd_conjugate(args) -> tuple[dict, int]:
@@ -475,18 +468,17 @@ def cmd_pauli(args) -> tuple[dict, int]:
             "cosets": [list(c) for c in rep.cosets],
         }
         return _report("pauli subgroup", args, results), EXIT_OK
-    if sub == "classify":
-        b = pmod.build_basis(args.dim)
-        basis = pmod.product_basis(b, b)
-        psi = _load_vector(args.state)
-        res = pmod.classify_product_or_me(basis, psi, tol=args.tol)
-        results = {
-            "d2_decomposable": res.d2_decomposable,
-            "class": res.klass,
-            "schmidt_values": [float(s) for s in res.schmidt_values],
-        }
-        return _report("pauli classify", args, results), EXIT_OK
-    raise ValueError(f"unknown pauli subcommand {sub!r}")
+    # classify
+    b = pmod.build_basis(args.dim)
+    basis = pmod.product_basis(b, b)
+    psi = _load_vector(args.state)
+    res = pmod.classify_product_or_me(basis, psi, tol=args.tol)
+    results = {
+        "d2_decomposable": res.d2_decomposable,
+        "class": res.klass,
+        "schmidt_values": [float(s) for s in res.schmidt_values],
+    }
+    return _report("pauli classify", args, results), EXIT_OK
 
 
 def _principal_vector(rho: np.ndarray) -> np.ndarray:
@@ -511,16 +503,15 @@ def cmd_ebt(args) -> tuple[dict, int]:
             "channel": ser.channel_to_obj(kraus),
         }
         return _report("ebt conjugate", args, results), EXIT_OK
-    if args.sub == "detect":
-        ch = _load_channel(args.infile)
-        det = ebtmod.is_hadamard_form(ch)
-        results = {
-            "verdict": det.verdict,
-            "frame": None if det.frame is None else [ser.encode_vector(v) for v in det.frame],
-            "gram": None if det.gram is None else ser.encode_matrix(det.gram),
-        }
-        return _report("ebt detect", args, results), EXIT_OK
-    raise ValueError(f"unknown ebt subcommand {args.sub!r}")
+    # detect
+    ch = _load_channel(args.infile)
+    det = ebtmod.is_hadamard_form(ch)
+    results = {
+        "verdict": det.verdict,
+        "frame": None if det.frame is None else [ser.encode_vector(v) for v in det.frame],
+        "gram": None if det.gram is None else ser.encode_matrix(det.gram),
+    }
+    return _report("ebt detect", args, results), EXIT_OK
 
 
 def cmd_gl(args) -> tuple[dict, int]:
@@ -533,29 +524,28 @@ def cmd_gl(args) -> tuple[dict, int]:
         return {"matrix": encode_matrix(glmod.theta(ch, p))}, EXIT_OK
     if args.sub == "omega":
         return {"matrix": encode_matrix(glmod.omega(ch, p))}, EXIT_OK
-    if args.sub == "verify":
-        from .random import derived_rng, random_density
+    # verify
+    from .random import derived_rng, random_density
 
-        res1, res2 = glmod.verify_gl_identity(ch, p)
-        rng = derived_rng(args.seed, 0)
-        mixed_err = 0.0
-        om = glmod.omega(ch, p)
-        for _ in range(args.trials):
-            rho = random_density(ch.d_in, rng)
-            mixed_err = max(
-                mixed_err,
-                abs(glmod.power_trace(ch, rho, p) - glmod.linearized_trace(om, rho, p)),
-            )
-        passed = res1 < 1e-12 and res2 < 1e-12 and mixed_err < 1e-12
-        results = {
-            "p": p,
-            "residual_conjugate": res1,
-            "residual_shift": res2,
-            "mixed_state_residual": mixed_err,
-            "passed": passed,
-        }
-        return _report("gl verify", args, results), EXIT_OK if passed else EXIT_VERIFY
-    raise ValueError(f"unknown gl subcommand {args.sub!r}")
+    res1, res2 = glmod.verify_gl_identity(ch, p)
+    rng = derived_rng(args.seed, 0)
+    mixed_err = 0.0
+    om = glmod.omega(ch, p)
+    for _ in range(args.trials):
+        rho = random_density(ch.d_in, rng)
+        mixed_err = max(
+            mixed_err,
+            abs(glmod.power_trace(ch, rho, p) - glmod.linearized_trace(om, rho, p)),
+        )
+    passed = res1 < 1e-12 and res2 < 1e-12 and mixed_err < 1e-12
+    results = {
+        "p": p,
+        "residual_conjugate": res1,
+        "residual_shift": res2,
+        "mixed_state_residual": mixed_err,
+        "passed": passed,
+    }
+    return _report("gl verify", args, results), EXIT_OK if passed else EXIT_VERIFY
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -585,18 +575,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_nonnegative_int, default=0, help="base RNG seed")
-    common.add_argument("--tol", type=_positive_float, default=1e-10, help="zero cutoff")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    # Every report echoes a restart count, so its default is set here for
-    # every command; the optimizer commands' --restarts only overrides it.
-    common.set_defaults(restarts=32)
+    # Parent parsers, one per group of flags; each command takes only the
+    # groups whose flags its handler reads.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    output.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
-    opt = argparse.ArgumentParser(add_help=False)
-    opt.add_argument("--restarts", type=_positive_int, default=argparse.SUPPRESS)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_nonnegative_int, default=0, help="base RNG seed")
+
+    def tol(meaning: str) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument("--tol", type=_positive_float, default=1e-10, help=meaning)
+        return p
+
+    opt = argparse.ArgumentParser(add_help=False, parents=[seed, tol("stopping tolerance")])
+    opt.add_argument("--restarts", type=_positive_int, default=32)
     opt.add_argument("--max-iter", type=_positive_int, default=2000, dest="max_iter")
+    cutoff = tol("support cutoff: smaller entries count as zero")
 
     parser = _Parser(
         prog="qcc",
@@ -604,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_build = subs.add_parser("build", parents=[common], help="construct a channel")
+    p_build = subs.add_parser("build", parents=[seed, output], help="construct a channel")
     p_build.add_argument(
         "kind",
         choices=("identity", "noisy", "depolarizing", "pauli", "ebt", "cq", "axes", "random"),
@@ -623,91 +619,91 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--ebt-json", action="store_true", help="emit the EBT vector format")
     p_build.set_defaults(handler=cmd_build)
 
-    p_conj = subs.add_parser("conjugate", parents=[common], help="conjugate a channel")
+    p_conj = subs.add_parser("conjugate", parents=[output], help="conjugate a channel")
     p_conj.add_argument("--in", dest="infile", required=True)
     p_conj.add_argument("--method", choices=("kraus", "choi", "ancilla"), default="kraus")
     p_conj.add_argument("--check", action="store_true", help="verify against the kraus route")
     p_conj.add_argument("--check-against", default=None, help="verify against a channel file")
     p_conj.set_defaults(handler=cmd_conjugate)
 
-    p_apply = subs.add_parser("apply", parents=[common], help="apply a channel to a state")
+    p_apply = subs.add_parser("apply", parents=[output], help="apply a channel to a state")
     p_apply.add_argument("--in", dest="infile", required=True)
     p_apply.add_argument("--state", required=True, help="matrix JSON file")
     p_apply.set_defaults(handler=cmd_apply)
 
-    p_choi = subs.add_parser("choi", parents=[common], help="Choi matrix of a channel")
+    p_choi = subs.add_parser("choi", parents=[output], help="Choi matrix of a channel")
     p_choi.add_argument("--in", dest="infile", required=True)
     p_choi.set_defaults(handler=cmd_choi)
 
-    p_nu = subs.add_parser("nu", parents=[common, opt], help="maximal output p-norm")
+    p_nu = subs.add_parser("nu", parents=[opt, output], help="maximal output p-norm")
     p_nu.add_argument("--in", dest="infile", required=True)
     p_nu.add_argument("-p", type=_parse_p, required=True)
     p_nu.set_defaults(handler=cmd_nu)
 
-    p_smin = subs.add_parser("smin", parents=[common, opt], help="minimal output entropy")
+    p_smin = subs.add_parser("smin", parents=[opt, output], help="minimal output entropy")
     p_smin.add_argument("--in", dest="infile", required=True)
     p_smin.add_argument("--base", choices=("2", "e"), default="2")
     p_smin.set_defaults(handler=cmd_smin)
 
-    p_mult = subs.add_parser("mult", parents=[common, opt], help="multiplicativity gap")
+    p_mult = subs.add_parser("mult", parents=[opt, output], help="multiplicativity gap")
     p_mult.add_argument("--a", required=True)
     p_mult.add_argument("--b", required=True)
     p_mult.add_argument("-p", type=_parse_p, required=True)
     p_mult.set_defaults(handler=cmd_mult)
 
-    p_cap = subs.add_parser("capacity", parents=[common, opt], help="Holevo capacity (Weyl covariant)")
+    p_cap = subs.add_parser("capacity", parents=[opt, output], help="Holevo capacity (Weyl covariant)")
     p_cap.add_argument("--in", dest="infile", required=True, help="Pauli-diagonal JSON file")
     p_cap.add_argument("--base", choices=("2", "e"), default="2")
     p_cap.set_defaults(handler=cmd_capacity)
 
     p_pauli = subs.add_parser("pauli", help="Pauli-diagonal analyses")
     pauli_subs = p_pauli.add_subparsers(dest="sub", required=True)
-    pl = pauli_subs.add_parser("lambda", parents=[common])
+    pl = pauli_subs.add_parser("lambda", parents=[output])
     pl.add_argument("--in", dest="infile", required=True)
     pl.set_defaults(handler=cmd_pauli)
-    pn = pauli_subs.add_parser("ncimage", parents=[common])
+    pn = pauli_subs.add_parser("ncimage", parents=[output])
     pn.add_argument("-d", "--dim", type=int, required=True)
     pn.add_argument("--state", required=True, help="matrix JSON file")
     pn.add_argument("--product", action="store_true", help="use the d x d product basis")
     pn.add_argument("--explicit", action="store_true", help="use the closed-form assembly")
     pn.set_defaults(handler=cmd_pauli)
-    pb = pauli_subs.add_parser("bound", parents=[common])
+    pb = pauli_subs.add_parser("bound", parents=[output])
     pb.add_argument("--in", dest="infile", required=True)
     pb.add_argument("-p", type=_parse_p, default=math.inf)
     pb.set_defaults(handler=cmd_pauli)
-    ps = pauli_subs.add_parser("subgroup", parents=[common])
+    ps = pauli_subs.add_parser("subgroup", parents=[cutoff, output])
     ps.add_argument("-d", "--dim", type=int, required=True)
     ps.add_argument("--state", required=True)
     ps.add_argument("--product", action="store_true")
     ps.set_defaults(handler=cmd_pauli)
-    pc = pauli_subs.add_parser("classify", parents=[common])
+    pc = pauli_subs.add_parser("classify", parents=[cutoff, output])
     pc.add_argument("-d", "--dim", type=int, required=True, help="prime factor dimension")
     pc.add_argument("--state", required=True, help="vector JSON file on d^2")
     pc.set_defaults(handler=cmd_pauli)
 
     p_ebt = subs.add_parser("ebt", help="entanglement-breaking channel tools")
     ebt_subs = p_ebt.add_subparsers(dest="sub", required=True)
-    ec = ebt_subs.add_parser("conjugate", parents=[common])
+    ec = ebt_subs.add_parser("conjugate", parents=[output])
     ec.add_argument("--in", dest="infile", required=True, help="EBT JSON file")
     ec.set_defaults(handler=cmd_ebt)
-    ed = ebt_subs.add_parser("detect", parents=[common])
+    ed = ebt_subs.add_parser("detect", parents=[output])
     ed.add_argument("--in", dest="infile", required=True, help="channel JSON file")
     ed.set_defaults(handler=cmd_ebt)
 
     p_gl = subs.add_parser("gl", help="linearization operators")
     gl_subs = p_gl.add_subparsers(dest="sub", required=True)
     for name in ("theta", "omega"):
-        g = gl_subs.add_parser(name, parents=[common])
+        g = gl_subs.add_parser(name, parents=[output])
         g.add_argument("--in", dest="infile", required=True)
         g.add_argument("-p", type=_positive_int, required=True)
         g.set_defaults(handler=cmd_gl)
-    gv = gl_subs.add_parser("verify", parents=[common])
+    gv = gl_subs.add_parser("verify", parents=[seed, output])
     gv.add_argument("--in", dest="infile", required=True)
     gv.add_argument("-p", type=_positive_int, default=2)
     gv.add_argument("--trials", type=_positive_int, default=5)
     gv.set_defaults(handler=cmd_gl)
 
-    p_verify = subs.add_parser("verify", parents=[common], help="run invariant suites")
+    p_verify = subs.add_parser("verify", parents=[seed, output], help="run invariant suites")
     p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p_verify.add_argument("--trials", type=_positive_int, default=None)
     p_verify.set_defaults(handler=cmd_verify)

@@ -136,16 +136,17 @@ def pseudodiag_kraus(ch: EBTChannel, tol: float = DEFAULT_TOL) -> KrausChannel:
     number of operators equals the Gram rank.
     """
     had, _ = conjugate_ebt(ch)
-    c = _psd_factor(had.x_gram, tol)
-    fr = np.stack(ch.w)
-    ops = np.einsum("jm,jk->mjk", c, fr.conj(), optimize=True)
-    return KrausChannel(d_in=fr.shape[1], d_out=len(ch.w), kraus=ops)
+    return _hadamard_kraus(had.x_gram, np.stack(ch.w), tol)
 
 
-def _psd_factor(gram: np.ndarray, tol: float) -> np.ndarray:
+def _hadamard_kraus(gram: np.ndarray, fr: np.ndarray, tol: float) -> KrausChannel:
+    """``R_m = sum_j C[j, m] |e_j><w_j|`` for the frame rows ``fr`` and the
+    factor ``C C^+ = gram``, truncated at ``tol``."""
     w, v = hermitian_eigh((gram + dagger(gram)) / 2)
     keep = w > tol * max(float(w.max()), 1e-300)
-    return v[:, keep] * np.sqrt(w[keep])
+    c = v[:, keep] * np.sqrt(w[keep])
+    ops = np.einsum("jm,jk->mjk", c, fr.conj(), optimize=True)
+    return KrausChannel(d_in=fr.shape[1], d_out=fr.shape[0], kraus=ops)
 
 
 def hadamard_form_channel(gram: np.ndarray, frame, tol: float = DEFAULT_TOL) -> KrausChannel:
@@ -159,9 +160,7 @@ def hadamard_form_channel(gram: np.ndarray, frame, tol: float = DEFAULT_TOL) -> 
     tp = np.einsum("j,ja,jb->ab", np.diagonal(had.x_gram).real, fr, fr.conj())
     if frobenius(tp - np.eye(fr.shape[1])) > 1e-8:
         raise ValueError("Gram diagonal and frame do not satisfy trace preservation")
-    c = _psd_factor(had.x_gram, tol)
-    ops = np.einsum("jm,jk->mjk", c, fr.conj(), optimize=True)
-    return KrausChannel(d_in=fr.shape[1], d_out=len(had.frame), kraus=ops)
+    return _hadamard_kraus(had.x_gram, fr, tol)
 
 
 def random_hadamard_channel(d_in: int, n: int, rng) -> KrausChannel:

@@ -51,11 +51,6 @@ def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of ``m``, non-increasing."""
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def canonical_hermitian_eigh(
     m: np.ndarray, degeneracy_tol: float = 1e-9
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +197,7 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("schatten_norm expects a square matrix")
-    s = singular_values(m)
+    s = np.linalg.svd(m, compute_uv=False)
     if not s.size or s[0] == 0:
         return 0.0
     if p == 1:

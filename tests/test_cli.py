@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from qcc import channel as chn
 from qcc import serialize as ser
 from qcc.channel import KrausChannel
-from qcc.cli import main
+from qcc.cli import build_parser, main
 from qcc.pauli import build_basis, depolarizing_weights, pauli_channel
 from qcc.random import random_kraus_operators, rng_from_seed
 from qcc.verify import run_suites
@@ -360,7 +363,6 @@ def test_usage_error_is_one_line(capsys, tmp_path):
         (["nu", "--in", str(dep), "-p", "2", "--max-iter", "0"], "--max-iter"),
         (["nu", "--in", str(dep), "-p", "2", "--restarts", "0"], "--restarts"),
         (["nu", "--in", str(dep), "-p", "2", "--tol", "0"], "--tol"),
-        (["conjugate", "--in", str(dep), "--tol", "0"], "--tol"),
         (["nu", "--in", str(dep), "-p", "2", "--seed", "-1"], "--seed"),
         (["build", "random", "-d", "2", "--kraus", "0"], "--kraus"),
         (["build", "random", "-d", "2", "--dout", "0"], "--dout"),
@@ -381,6 +383,91 @@ def test_usage_error_is_one_line(capsys, tmp_path):
     # --help still prints the full usage text and exits 0.
     code, out, _ = run_cli(capsys, "nu", "--help")
     assert code == 0 and out.startswith("usage: qcc nu")
+
+
+def _leaf_parsers(parser, name=()):
+    """Yield ``(command words, parser)`` for every leaf command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(name), parser
+        return
+    for word, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, name + (word,))
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    optimizer = {"--seed", "--tol", "--restarts", "--max-iter"}
+    extra = {
+        "build": {"--seed"},
+        "nu": optimizer,
+        "smin": optimizer,
+        "mult": optimizer,
+        "capacity": optimizer,
+        "pauli subgroup": {"--tol"},
+        "pauli classify": {"--tol"},
+        "gl verify": {"--seed"},
+        "verify": {"--seed"},
+    }
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert len(leaves) == 19 and set(extra) <= set(leaves)
+    for name, parser in leaves.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        shared = flags & (optimizer | {"--format", "--out"})
+        assert shared == {"--format", "--out"} | extra.get(name, set()), name
+
+
+def test_flags_a_command_does_not_take_are_rejected(capsys, tmp_path):
+    dep = tmp_path / "dep.json"
+    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.5", "--out", str(dep))
+    for argv, flag in (
+        (["conjugate", "--in", str(dep), "--seed", "1"], "--seed"),
+        (["conjugate", "--in", str(dep), "--tol", "0"], "--tol"),
+        (["pauli", "lambda", "--in", str(dep), "--tol", "1e-9"], "--tol"),
+        (["gl", "theta", "--in", str(dep), "-p", "2", "--seed", "2"], "--seed"),
+        (["verify", "--tol", "1e-9"], "--tol"),
+        (["verify", "--restarts", "3"], "--restarts"),
+        (["gl", "verify", "--in", str(dep), "--tol", "1e-9"], "--tol"),
+        (["ebt", "detect", "--in", str(dep), "--seed", "1"], "--seed"),
+        (["build", "identity", "-d", "2", "--tol", "1e-9"], "--tol"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: unrecognized arguments: {flag} "), err
+        assert len(err.strip().splitlines()) == 1, err
+
+
+def test_config_echoes_only_the_flags_a_command_takes(capsys, tmp_path):
+    dep = tmp_path / "dep.json"
+    depp = tmp_path / "depp.json"
+    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.5", "--out", str(dep))
+    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.5", "--pauli-json", "--out", str(depp))
+    state = tmp_path / "e0.json"
+    state.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [0, 0]]]))
+    for argv, keys in (
+        (["pauli", "lambda", "--in", str(depp)], ["format"]),
+        (["pauli", "subgroup", "-d", "2", "--state", str(state), "--tol", "1e-9"], ["tol", "format"]),
+        (["gl", "verify", "--in", str(dep), "--seed", "3"], ["seed", "format"]),
+        (["verify", "--suite", "gl", "--trials", "1"], ["seed", "format"]),
+        (["nu", "--in", str(dep), "-p", "2", "--restarts", "2"], ["seed", "tol", "restarts", "format"]),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert list(json.loads(out)["config"]) == keys, argv
+
+
+def test_readme_examples_parse():
+    # Every ``qcc ...`` line of the README's command-line tour names only
+    # flags its command takes.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Command-line tour", 1)[1].split("```", 2)[1]
+    lines = [ln.split("#", 1)[0] for ln in tour.splitlines() if ln.startswith("qcc ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line.strip()}")
 
 
 def test_trials_below_one_are_rejected(capsys, tmp_path):
