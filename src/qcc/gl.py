@@ -75,14 +75,14 @@ def theta(ch: KrausChannel, p: int) -> np.ndarray:
     return acc.reshape((d,) * (2 * p)).transpose(rows_then_cols).reshape(d**p, d**p)
 
 
-def _apply_adjoint_to_factor(ch: KrausChannel, m: np.ndarray, i: int, p: int) -> np.ndarray:
-    """Adjoint channel on tensor factor ``i`` of a matrix on p output factors
-    (the other factors' dimensions may already have been converted)."""
+def _apply_adjoint_to_factor(ch: KrausChannel, sup: np.ndarray, m: np.ndarray, i: int):
+    """Adjoint channel, as its superoperator ``sup``, on tensor factor ``i`` of a
+    matrix on p output factors (the factors below ``i`` are already converted)."""
     d_out, d_in = ch.d_out, ch.d_in
     left = d_in**i  # factors below i are already converted
     right = m.shape[0] // (left * d_out)
     t = m.reshape(left, d_out, right, left, d_out, right).transpose(0, 2, 3, 5, 1, 4)
-    out = t.reshape(-1, d_out * d_out) @ chn.adjoint_superoperator(ch).T
+    out = t.reshape(-1, d_out * d_out) @ sup.T
     out = out.reshape(left, right, left, right, d_in, d_in).transpose(0, 4, 1, 2, 5, 3)
     new_dim = left * d_in * right
     return out.reshape(new_dim, new_dim)
@@ -92,9 +92,10 @@ def omega(ch: KrausChannel, p: int) -> np.ndarray:
     """Adjoint channel applied factorwise to the left shift:
     the linearizer of ``Tr Phi(rho)^p`` valid for arbitrary mixed inputs."""
     _check_p(p, max(ch.d_in, ch.d_out))
+    sup = chn.adjoint_superoperator(ch)
     m = shift_operator(p, "left", ch.d_out).astype(complex)
     for i in range(p):
-        m = _apply_adjoint_to_factor(ch, m, i, p)
+        m = _apply_adjoint_to_factor(ch, sup, m, i)
     return m
 
 

@@ -53,14 +53,19 @@ class PauliBasis:
     prod_phase: np.ndarray
     adj_index: np.ndarray
     adj_phase: np.ndarray
-    kind: str = "pauli"
-    factor_dims: tuple[int, ...] = ()
+    #: Dimensions of the single Pauli bases this one is the product of.
+    factor_dims: tuple[int, ...]
 
     def __post_init__(self):
         for name in ("ops", "prod_index", "prod_phase", "adj_index", "adj_phase"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def kind(self) -> str:
+        """``"pauli"`` for a single basis, ``"pauli_product"`` for a product."""
+        return "pauli" if len(self.factor_dims) == 1 else "pauli_product"
 
     @property
     def size(self) -> int:
@@ -139,7 +144,6 @@ def build_basis(d: int) -> PauliBasis:
         prod_phase=prod_phase.astype(complex),
         adj_index=adj_index,
         adj_phase=adj_phase.astype(complex),
-        kind="pauli",
         factor_dims=(d,),
     )
 
@@ -162,7 +166,6 @@ def product_basis(b1: PauliBasis, b2: PauliBasis) -> PauliBasis:
         prod_phase=prod_phase,
         adj_index=adj_index,
         adj_phase=adj_phase,
-        kind="pauli_product",
         factor_dims=b1.factor_dims + b2.factor_dims,
     )
 

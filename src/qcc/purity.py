@@ -11,9 +11,11 @@ stack ``K`` of shape ``(n, d_out, d_in)`` and ``M = K psi`` of shape
 ``(n, d_out)``, the channel output is ``Phi(psi psi^+) = M^T conj(M)`` and the
 conjugate channel's output is ``M M^+``.  The two Gram matrices share their
 nonzero spectrum (the paper's spectrum law), so every objective is evaluated
-on the smaller one.  The adjoint ``Phi^+(X)`` is two reshaped matrix
-products, and the gradient ``Phi^+(X) psi = K_r^+ vec(M X^T)`` (``K_r`` the
-stack reshaped to ``(n d_out) x d_in``) never forms ``Phi^+(X)``.
+on the smaller one.  The adjoint is ``vec(Phi^+(X)) = S vec(X)``, with the
+``(d_in^2, d_out^2)`` superoperator ``S`` built on first use, so a channel
+with ``d_in d_out > MAX_DIM^2`` is rejected; the gradient ``Phi^+(X) psi =
+K_r^+ vec(M X^T)`` (``K_r`` the stack reshaped to ``(n d_out) x d_in``)
+never forms ``Phi^+(X)``.
 
 A gap's product run uses the same kernel built from the two factors, never
 from the product's ``(n1 n2, d1_out d2_out, d1_in d2_in)`` Kraus stack.  With
@@ -48,6 +50,7 @@ degenerate landscapes the ascent crawls for thousands of iterations.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -57,7 +60,7 @@ import numpy as np
 from . import channel as chn
 from .channel import KrausChannel
 from .conjugate import conjugate_kraus
-from .linalg import DEFAULT_TOL, Spectrum, nonzero_spectrum, pnorm
+from .linalg import DEFAULT_TOL, MAX_DIM, Spectrum, nonzero_spectrum, pnorm
 from .random import derived_rng, haar_state
 
 
@@ -117,10 +120,6 @@ def _dag(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).conj()
 
 
-#: Entries of the intermediate ``X K`` in :meth:`_Kernel.adjoint` (128 kB).
-_ADJOINT_ENTRIES = 2**13
-
-
 class _Kernel:
     """Pure-state kernel of one channel.
 
@@ -129,13 +128,24 @@ class _Kernel:
     """
 
     def __init__(self, ch: KrausChannel):
+        # The adjoint superoperator holds (d_in d_out)^2 entries: 16 MB at the cap.
+        if ch.d_in * ch.d_out > MAX_DIM**2:
+            raise ValueError(
+                f"d_in * d_out = {ch.d_in * ch.d_out} exceeds the optimizer's supported "
+                f"size (d_in * d_out <= {MAX_DIM**2})"
+            )
         chn.require_cpt(ch, tol=1e-8)
+        self.channel = ch
         self.n, self.d_out, self.d_in = ch.kraus.shape
-        self.kraus = ch.kraus
         self.rows = ch.kraus.reshape(self.n * self.d_out, self.d_in)
         self.rows_h = self.rows.conj().T
         #: The conjugate's output ``M M^+`` is the smaller Gram matrix.
         self.on_env = self.n < self.d_out
+
+    @functools.cached_property
+    def sup(self) -> np.ndarray:
+        """The adjoint's ``(d_in^2, d_out^2)`` superoperator, built on first use."""
+        return chn.adjoint_superoperator(self.channel)
 
     def outputs(self, psi: np.ndarray) -> np.ndarray:
         """``M = K psi``, shape ``(n, d_out)`` per state."""
@@ -166,20 +176,10 @@ class _Kernel:
         return (u * hw[..., None, :]) @ _dag(u)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """``Phi^+(X) = K_r^+ (X K)``, ``X`` of shape ``(d_out, d_out)``.
-
-        Takes as many restarts at a time as keep ``X K`` within
-        ``_ADJOINT_ENTRIES``, so that a large channel costs no more memory
-        than one restart.
-        """
-        lead, x = x.shape[:-2], x.reshape((-1,) + x.shape[-2:])
-        step = max(1, _ADJOINT_ENTRIES // self.kraus.size)
-        rows = (-1, self.n * self.d_out, self.d_in)
-        out = [
-            self.rows_h @ (x[i : i + step, None] @ self.kraus).reshape(rows)
-            for i in range(0, len(x), step)
-        ]
-        return np.concatenate(out).reshape(lead + (self.d_in, self.d_in))
+        """``vec(Phi^+(X)) = S vec(X)``, ``X`` of shape ``(d_out, d_out)``."""
+        lead = x.shape[:-2]
+        y = x.reshape(lead + (self.d_out * self.d_out,)) @ self.sup.T
+        return y.reshape(lead + (self.d_in, self.d_in))
 
     def pull_back(self, m, u, h) -> np.ndarray:
         """``Phi^+(h(sigma)) psi = K_r^+ vec(M h(sigma)^T)`` for one state, with
@@ -195,7 +195,7 @@ class _Kernel:
 
 
 class _ProductKernel(_Kernel):
-    """Pure-state kernel of ``Phi_1 (x) Phi_2``, built from the two factors.
+    """Pure-state kernel of ``Phi_1 (x) Phi_2``, built from the two factors' kernels.
 
     Its outputs, spectra and output operators are those of the
     :class:`_Kernel` of the product's Kraus stack ``F_i (x) G_j``, pair
@@ -204,26 +204,17 @@ class _ProductKernel(_Kernel):
     :meth:`output_operator` are inherited unchanged.
     """
 
-    def __init__(self, ch1: KrausChannel, ch2: KrausChannel):
-        chn.require_cpt(ch1, tol=1e-8)
-        chn.require_cpt(ch2, tol=1e-8)
-        self.dims = (ch1.n_kraus, ch1.d_out, ch1.d_in, ch2.n_kraus, ch2.d_out, ch2.d_in)
-        n1, o1, i1, n2, o2, i2 = self.dims
-        self.n, self.d_out, self.d_in = n1 * n2, o1 * o2, i1 * i2
-        self.f_rows = ch1.kraus.reshape(n1 * o1, i1)
-        self.g_rows = ch2.kraus.reshape(n2 * o2, i2)
-        self.f_rows_h = self.f_rows.conj().T
-        self.g_rows_conj = self.g_rows.conj()
-        #: The factors' adjoints as ``(d_in^2, d_out^2)`` superoperators.
-        self.sup1 = chn.adjoint_superoperator(ch1)
-        self.sup2 = chn.adjoint_superoperator(ch2)
+    def __init__(self, k1: _Kernel, k2: _Kernel):
+        self.k1, self.k2 = k1, k2
+        self.dims = (k1.n, k1.d_out, k1.d_in, k2.n, k2.d_out, k2.d_in)
+        self.n, self.d_out, self.d_in = k1.n * k2.n, k1.d_out * k2.d_out, k1.d_in * k2.d_in
         self.on_env = self.n < self.d_out
 
     def outputs(self, psi: np.ndarray) -> np.ndarray:
         """``M[(i, j), (a, b)] = (F_i Psi G_j^T)[a, b]``."""
         n1, o1, i1, n2, o2, i2 = self.dims
         lead = psi.shape[:-1]
-        big = self.f_rows @ psi.reshape(lead + (i1, i2)) @ self.g_rows.T
+        big = self.k1.rows @ psi.reshape(lead + (i1, i2)) @ self.k2.rows.T
         m = np.swapaxes(big.reshape(lead + (n1, o1, n2, o2)), -3, -2)
         return m.reshape(lead + (self.n, self.d_out))
 
@@ -233,7 +224,7 @@ class _ProductKernel(_Kernel):
         n1, o1, i1, n2, o2, i2 = self.dims
         lead = x.shape[:-2]
         x = np.swapaxes(x.reshape(lead + (o1, o2, o1, o2)), -3, -2)
-        y = self.sup1 @ x.reshape(lead + (o1 * o1, o2 * o2)) @ self.sup2.T
+        y = self.k1.sup @ x.reshape(lead + (o1 * o1, o2 * o2)) @ self.k2.sup.T
         y = np.swapaxes(y.reshape(lead + (i1, i1, i2, i2)), -3, -2)
         return y.reshape(lead + (self.d_in, self.d_in))
 
@@ -242,7 +233,7 @@ class _ProductKernel(_Kernel):
         regrouping of ``M h(sigma)^T``."""
         n1, o1, i1, n2, o2, i2 = self.dims
         y = self.weighted_outputs(m, u, h).reshape(n1, n2, o1, o2).swapaxes(1, 2)
-        g = self.f_rows_h @ y.reshape(n1 * o1, n2 * o2) @ self.g_rows_conj
+        g = self.k1.rows_h @ y.reshape(n1 * o1, n2 * o2) @ self.k2.rows_h.T
         return g.reshape(-1)
 
 
@@ -453,9 +444,10 @@ def _gap_reports(run, ch1: KrausChannel, ch2: KrausChannel, opts: OptimizerOptio
     the tensor product of the single-channel optima.  The single runs are
     then seeded once more with the principal Schmidt factors of the product
     optimum, so that a single run that missed an optimum the product run
-    found does not show up as a gap.  If that improves a single run, the
-    product run is seeded once more with the new product state, so that it
-    again starts from the best product state found.
+    found does not show up as a gap.  If that improves a single run by more
+    than ``opts.tol`` relative to its first value, the product run is seeded
+    once more with the new product state, so that it again starts from the
+    best product state found.
     """
     once = replace(opts, restarts=0)
 
@@ -467,15 +459,20 @@ def _gap_reports(run, ch1: KrausChannel, ch2: KrausChannel, opts: OptimizerOptio
             best, restarts=rep.restarts + alt.restarts, iterations=rep.iterations + alt.iterations
         )
 
+    def gained(new: PurityReport, old: PurityReport) -> bool:
+        # A gain within the optimizer's tolerance is rounding, not a new optimum.
+        gain = abs(new.value - old.value)
+        return better(new.value, old.value) and gain > opts.tol * abs(old.value)
+
     k1, k2 = _Kernel(ch1), _Kernel(ch2)
     r1 = run(k1, opts)
     r2 = run(k2, opts)
-    product = _ProductKernel(ch1, ch2)
+    product = _ProductKernel(k1, k2)
     r12 = run(product, opts, initial_states=[np.kron(r1.optimizer_state, r2.optimizer_state)])
     u, _, vh = np.linalg.svd(r12.optimizer_state.reshape(ch1.d_in, ch2.d_in))
     s1 = rerun(r1, k1, u[:, 0])
     s2 = rerun(r2, k2, vh[0])
-    if better(s1.value, r1.value) or better(s2.value, r2.value):
+    if gained(s1, r1) or gained(s2, r2):
         r12 = rerun(r12, product, np.kron(s1.optimizer_state, s2.optimizer_state))
     return s1, s2, r12
 

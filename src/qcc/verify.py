@@ -10,7 +10,7 @@ the modules it checks, so that running one suite loads no other's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, err: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=bool(err < tol), max_err=float(err), detail=detail)
+def _result(name: str, err: float, tol: float, detail: str = "", ok: bool = True) -> CheckResult:
+    """A check that passes when its sub-check ``ok`` holds and ``err < tol``."""
+    return CheckResult(name=name, passed=bool(ok and err < tol), max_err=float(err), detail=detail)
 
 
 def _random_channel(rng, d_max=4, n_max=6) -> KrausChannel:
@@ -175,9 +176,7 @@ def suite_conjugate(seed: int = 0, trials: int = 20) -> list[CheckResult]:
         err = max(err, chn.validate_cpt(cc).max_residual)
         ok &= cc.n_kraus == ch.d_out and cc.d_out == ch.n_kraus
     out.append(_result("conjugate is CPT with the swapped shape", err, 1e-10,
-                       detail="" if ok else "shape law violated"))
-    if not ok:
-        out[-1] = replace(out[-1], passed=False)
+                       detail="" if ok else "shape law violated", ok=ok))
 
     rng = derived_rng(seed, 11)
     err = 0.0
@@ -516,9 +515,7 @@ def suite_ebt(seed: int = 0, trials: int = 8) -> list[CheckResult]:
     )
     ok &= ebtmod.pseudodiag_kraus(deg).n_kraus < deg.n
     out.append(_result("pseudodiagonal Kraus realizes the conjugate", err, 1e-10,
-                       detail="" if ok else "rank-deficient Gram did not shrink"))
-    if not ok:
-        out[-1] = replace(out[-1], passed=False)
+                       detail="" if ok else "rank-deficient Gram did not shrink", ok=ok))
 
     rng = derived_rng(seed, 45)
     ok = True
@@ -581,7 +578,7 @@ def suite_gl(seed: int = 0, trials: int = 10) -> list[CheckResult]:
         r3 = glmod.shift_operator(3, "right", d)
         err = max(err, float(np.abs(l3 @ r3 - np.eye(d**3)).max()))
     out.append(_result("shift operators: swap at p=2 and left-right inverse", err, 1e-15,
-                       detail="" if ok else "p=1 shift is not the identity"))
+                       detail="" if ok else "p=1 shift is not the identity", ok=ok))
 
     rng = derived_rng(seed, 51)
     err = 0.0
@@ -631,13 +628,9 @@ def suite_gl(seed: int = 0, trials: int = 10) -> list[CheckResult]:
 
 
 def run_suites(names, seed: int = 0, trials: int | None = None) -> list[CheckResult]:
-    """Run the requested suites (or all of them) and concatenate results."""
-    table = {
-        "conjugate": (suite_conjugate, 20),
-        "pauli": (suite_pauli, 25),
-        "ebt": (suite_ebt, 8),
-        "gl": (suite_gl, 10),
-    }
+    """Run the requested suites (or all of them) and concatenate results;
+    ``trials=None`` runs each suite at its own default trial count."""
+    table = {"conjugate": suite_conjugate, "pauli": suite_pauli, "ebt": suite_ebt, "gl": suite_gl}
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if isinstance(names, str):
@@ -646,6 +639,6 @@ def run_suites(names, seed: int = 0, trials: int | None = None) -> list[CheckRes
     for name in names:
         if name not in table:
             raise ValueError(f"unknown suite {name!r}")
-        fn, default_trials = table[name]
-        results.extend(fn(seed=seed, trials=default_trials if trials is None else trials))
+        kwargs = {} if trials is None else {"trials": trials}
+        results.extend(table[name](seed=seed, **kwargs))
     return results

@@ -511,6 +511,18 @@ def test_sizes_beyond_the_cap_are_rejected(capsys, tmp_path):
     assert code == 0 and len(json.loads(out)["weights"]) == MAX_DIM**2
 
 
+def test_optimizer_commands_reject_channels_beyond_the_size_cap(capsys, tmp_path):
+    # One Kraus operator from C^2 into C^600: d_in d_out = 1200 > MAX_DIM^2.
+    path = tmp_path / "wide.json"
+    ch = KrausChannel.from_operators([np.eye(600, 2)])
+    path.write_text(ser.dumps(ser.channel_to_obj(ch)))
+    for argv in (["nu", "--in", str(path), "-p", "2"], ["smin", "--in", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "exceeds the optimizer's supported size" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_unwritable_output_is_an_io_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "build", "identity", "-d", "2", "--out", str(tmp_path))
     assert (code, out) == (4, "")

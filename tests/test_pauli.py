@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,18 @@ def test_product_basis():
         m, n = int(rng.integers(81)), int(rng.integers(81))
         k, phase = pb9.triple(m, n)
         assert frobenius(dagger(pb9.ops[m]) @ pb9.ops[n] - phase * pb9.ops[k]) < 1e-12
+
+
+def test_basis_kind_follows_its_factors():
+    b2 = pm.build_basis(2)
+    assert (b2.kind, b2.factor_dims) == ("pauli", (2,))
+    prod = pm.product_basis(b2, pm.build_basis(3))
+    assert (prod.kind, prod.factor_dims) == ("pauli_product", (2, 3))
+    fields = (b2.d, b2.ops, b2.prod_index, b2.prod_phase, b2.adj_index, b2.adj_phase)
+    with pytest.raises(TypeError):  # factor_dims is required
+        pm.PauliBasis(*fields)
+    with pytest.raises(TypeError):  # kind is derived, not set
+        dataclasses.replace(b2, kind="pauli_product")
 
 
 def test_pauli_channel_constructions():
