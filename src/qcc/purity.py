@@ -37,6 +37,11 @@ the natural power-iteration analogue, which ascends ``Tr Phi(rho)^p``.
 eigenvector.  All restarts of the fixed point run together as one stack; a
 restart leaves the stack once it meets its stopping rule.
 
+A run's starts are its ``initial_states`` followed by ``restarts`` Haar
+states, restart ``r`` drawn from ``derived_rng(seed, r)``.  Those depend only
+on ``(d_in, seed, restarts)``, so each such stack is built once, kept
+read-only in a small cache and shared by every run with the same three.
+
 For p in [1, 2) and for the entropy, Riemannian gradient ascent on the unit
 sphere runs one restart at a time: each step moves along the tangent
 gradient ``r = g - psi <psi, g>`` and renormalizes.  The step length opens
@@ -72,6 +77,14 @@ class OptimizerOptions:
     tol: float = 1e-10
     seed: int = 0
     max_iter: int = 2000
+
+    def __post_init__(self):
+        if not self.restarts >= 0:
+            raise ValueError(f"restarts must be at least 0, got {self.restarts}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 DEFAULT_OPTS = OptimizerOptions()
@@ -160,7 +173,7 @@ class _Kernel:
         """Eigenpairs of :meth:`gram`, eigenvalues ascending and clipped at
         zero."""
         w, u = np.linalg.eigh(self.gram(m))
-        return np.clip(w, 0.0, None), u
+        return np.maximum(w, 0.0), u
 
     def spectrum(self, psi: np.ndarray) -> np.ndarray:
         """The ``min(n, d_out)`` largest output eigenvalues, ascending."""
@@ -274,7 +287,9 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter:
         m = kern.outputs(step)
         w, u = kern.eigh(m)
         new = np.log(pnorm(w, p))
-        done = np.abs(np.expm1(exponent * (obj - new))) <= tol
+        # A change too large for a double overflows to inf, which is not done.
+        with np.errstate(over="ignore"):
+            done = np.abs(np.expm1(exponent * (obj - new))) <= tol
         if done.any():
             iters[live[done]] = it
             conv[live[done]] = True
@@ -351,13 +366,27 @@ def _gradient_ascent(kern: _Kernel, starts: np.ndarray, p, tol: float, max_iter:
     return np.array(psi), np.array(iters), np.array(conv)
 
 
+@functools.lru_cache(maxsize=64)
+def _haar_starts(d_in: int, seed: int, count: int) -> np.ndarray:
+    """The read-only ``(count, d_in)`` stack of Haar starts ``r = 0 .. count - 1``
+    of ``seed``; they depend on nothing else, so each stack is built once."""
+    starts = np.empty((count, d_in), dtype=complex)
+    for r in range(count):
+        s = haar_state(d_in, derived_rng(seed, r))
+        starts[r] = s / np.linalg.norm(s)
+    starts.flags.writeable = False
+    return starts
+
+
 def _multistart(kern: _Kernel, p: float, opts: OptimizerOptions, initial_states, engine, score):
     """Run ``engine(kern, starts)`` from ``initial_states`` and
     ``opts.restarts`` Haar-random states; report the final state whose
     spectrum has the highest ``score``, the first one on ties."""
-    starts = [np.asarray(s, dtype=complex) for s in initial_states]
-    starts += [haar_state(kern.d_in, derived_rng(opts.seed, r)) for r in range(opts.restarts)]
-    psi0 = np.array([s / np.linalg.norm(s) for s in starts])
+    seeded = [np.asarray(s, dtype=complex) for s in initial_states]
+    seeded = np.array([s / np.linalg.norm(s) for s in seeded], dtype=complex).reshape(-1, kern.d_in)
+    psi0 = np.concatenate([seeded, _haar_starts(kern.d_in, opts.seed, opts.restarts)])
+    if not len(psi0):
+        raise ValueError("the optimizer needs at least one start: restarts or initial_states")
     psi, iters, conv = engine(kern, psi0)
     vals = score(kern.spectrum(psi))
     best = int(np.argmax(vals))
@@ -365,7 +394,7 @@ def _multistart(kern: _Kernel, p: float, opts: OptimizerOptions, initial_states,
         value=float(vals[best]),
         optimizer_state=psi[best].copy(),
         p=p,
-        restarts=len(starts),
+        restarts=len(psi0),
         converged=bool(conv[best]),
         iterations=int(iters.sum()),
     )
@@ -390,7 +419,7 @@ def nu_p(
 
 def _nu_p(kern: _Kernel, p: float, opts: OptimizerOptions, initial_states=()) -> PurityReport:
     """:func:`nu_p` on a kernel."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"nu_p requires p >= 1, got {p}")
     if p >= 2:
         engine = lambda kern, psi0: _fixed_point(kern, psi0, p, opts.tol, opts.max_iter)

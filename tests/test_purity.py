@@ -1,5 +1,6 @@
 import math
 import operator
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,8 +54,44 @@ def test_nu_p_identity_channel():
 
 
 def test_nu_p_rejects_p_below_one():
-    with pytest.raises(ValueError):
-        nu_p(chn.identity_channel(2), 0.9, FAST)
+    for p in (0.9, math.nan):
+        with pytest.raises(ValueError):
+            nu_p(chn.identity_channel(2), p, FAST)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("restarts", -3), ("tol", 0.0), ("tol", -1e-10), ("tol", math.nan), ("max_iter", 0)],
+)
+def test_optimizer_options_reject_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerOptions(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        replace(FAST, **{field: value})
+
+
+def test_optimizer_needs_at_least_one_start():
+    ch = chn.identity_channel(2)
+    none = replace(FAST, restarts=0)
+    for run in (lambda **kw: nu_p(ch, 2, none, **kw), lambda **kw: s_min(ch, none, **kw)):
+        with pytest.raises(ValueError, match="at least one start"):
+            run()
+        rep = run(initial_states=[np.array([1.0, 1.0])])
+        assert rep.restarts == 1 and rep.converged
+
+
+def test_nu_p_at_huge_p_is_warning_free():
+    # At p = 1e308 the stopping test's exponent overflows on every step that
+    # still moves; such a step is not done, and it must not warn.
+    ch = pauli_channel(build_basis(3), depolarizing_weights(3, 0.5)).channel
+    rng = rng_from_seed(12)
+    for c in (ch, random_channel(rng, 3, 3, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = nu_p(c, 1e308, FAST)
+            top = nu_p(c, math.inf, FAST)
+        assert rep.converged
+        assert abs(rep.value - top.value) < 1e-9
 
 
 def test_nu_p_qubit_unital_closed_form():
@@ -306,6 +343,38 @@ def test_batched_fixed_point_matches_one_restart_at_a_time(shape):
             for r in range(opts.restarts)
         )
         assert abs(batched - single) < 1e-12
+
+
+def test_haar_starts_are_the_explicit_rows_and_read_only():
+    for d, seed, count in ((2, 0, 1), (3, 7, 5), (6, 11, 32), (4, 1, 0)):
+        stack = purity._haar_starts(d, seed, count)
+        want = [haar_state(d, derived_rng(seed, r)) for r in range(count)]
+        want = np.array([s / np.linalg.norm(s) for s in want]).reshape(count, d)
+        assert stack.shape == (count, d)
+        assert np.array_equal(stack, want)
+        assert purity._haar_starts(d, seed, count) is stack
+        with pytest.raises(ValueError):
+            stack[...] = 0
+
+
+def test_reports_are_the_same_from_a_cold_and_a_warm_start_cache():
+    rng = rng_from_seed(22)
+    ch = random_channel(rng, 3, 4, 2)
+    c1, c2 = random_channel(rng, 2, 2, 3), random_channel(rng, 2, 3, 2)
+
+    def gap():
+        g = multiplicativity_gap(c1, c2, 2, FAST)
+        return [g.report_1, g.report_2, g.report_12]
+
+    for run in (lambda: [nu_p(ch, 2, OPTS)], lambda: [s_min(ch, FAST)], gap):
+        purity._haar_starts.cache_clear()
+        cold = run()
+        hits = purity._haar_starts.cache_info().hits
+        warm = run()
+        assert purity._haar_starts.cache_info().hits > hits
+        for a, b in zip(cold, warm, strict=True):
+            assert (a.value, a.iterations, a.restarts) == (b.value, b.iterations, b.restarts)
+            assert np.array_equal(a.optimizer_state, b.optimizer_state)
 
 
 def test_gradient_engine_qubit_converges_in_few_iterations():
