@@ -8,6 +8,32 @@ The conjugate maps the input to the environment, so its output dimension is
 the Kraus count of the parent and vice versa.  Any two realizations of the
 conjugate differ only by conjugation with a partial isometry of rank equal
 to the parent's Kraus rank.
+
+:func:`find_relating_isometry` finds that partial isometry ``W`` (shape
+``n1 x n2``, the two output dimensions) with at most two candidates, the
+second only when the first fails:
+
+1. index-matched Kraus lists (equal counts) are tried as they stand, by
+   least squares on ``A_mu = W B_mu``;
+2. the intertwiner system ``ch1(E_ab) T = T ch2(E_ab)`` is solved on the
+   side of the pair with fewer unknowns.  With ``m1, m2`` the Kraus counts,
+   ``n1 n2 <= m1 m2`` solves it for ``W`` directly.  Otherwise it is solved
+   on the Kraus-swapped pair: ``conjugate_kraus(ch1)`` and
+   ``conjugate_kraus(ch2)`` are related by a partial isometry ``U``
+   (``m1 x m2``), since two Stinespring dilations of one channel agree up to
+   a partial isometry on the environment, and ``W`` is then the
+   index-matched least-squares solution of ``A_mu = W sum_nu U_mu,nu B_nu``.
+   The conjugates of a ``(d, D, n)`` channel have output dimension ``n`` and
+   at most ``D`` Kraus operators, so this system never exceeds ``D^2``
+   unknowns.
+
+When the intertwiner's null space has more than one dimension (a channel
+with symmetry), its vectors are ``W`` times elements of the output algebra's
+commutant, and only an invertible one snaps to a relating ``W``; a fixed
+generic combination of the null basis is taken.  Candidates are snapped to
+a partial isometry at numerical rank and accepted only by their residual on
+all matrix-unit inputs.  A pair whose smaller system has more than
+``MAX_DIM^2`` unknowns is refused with a ``ValueError`` before any work.
 """
 
 from __future__ import annotations
@@ -18,6 +44,7 @@ from . import channel as chn
 from .channel import AncillaRep, ChoiMatrix, KrausChannel, KrausRelation
 from .linalg import (
     DEFAULT_TOL,
+    MAX_DIM,
     canonical_hermitian_eigh,
     dagger,
     kron,
@@ -104,13 +131,14 @@ def _matrix_unit_residual(ch1: KrausChannel, ch2: KrausChannel, w: np.ndarray) -
 
 
 def _snap_to_partial_isometry(w: np.ndarray) -> tuple[np.ndarray, int]:
-    """Round singular values to {0, 1} at threshold 0.5 after normalizing."""
-    u, s, vh = np.linalg.svd(w)
+    """Round singular values to {0, 1} at numerical rank (above 1e-8 of the
+    largest), so that an intertwiner with unequal singular values keeps its
+    whole support."""
+    u, s, vh = np.linalg.svd(w, full_matrices=False)
     if s.size == 0 or s[0] == 0:
         return np.zeros_like(w), 0
-    snapped = (s / s[0] > 0.5).astype(float)
-    rank = int(snapped.sum())
-    return (u[:, :rank] * snapped[:rank]) @ vh[:rank], rank
+    rank = int(np.count_nonzero(s > 1e-8 * s[0]))
+    return u[:, :rank] @ vh[:rank], rank
 
 
 def _stacked_ls_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray | None:
@@ -131,7 +159,9 @@ def _intertwiner_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
     its normal matrix ``G = sum_ab R_ab^+ R_ab`` is built straight from the
     Choi blocks as ``P (x) I + I (x) Q - C - C^+`` with ``P = sum A^+ A``,
     ``Q = sum conj(B) B^T`` and ``C = sum A^+ (x) B^T``.  ``T`` is the
-    eigenvector of its lowest eigenvalue.
+    eigenvector of its lowest eigenvalue, or, when more than one eigenvalue
+    is at most ``1e-10`` of the largest, a fixed generic combination of
+    their eigenvectors.
     """
     d, n1, n2 = ch1.d_in, ch1.d_out, ch2.d_out
     a = d * chn.kraus_to_choi(ch1).gamma.reshape(d, n1, d, n1).transpose(0, 2, 1, 3)
@@ -143,8 +173,32 @@ def _intertwiner_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
     c = a.conj().reshape(d * d, n1 * n1).T @ b.reshape(d * d, n2 * n2)
     c = c.reshape(n1, n1, n2, n2).transpose(1, 3, 0, 2).reshape(n1 * n2, n1 * n2)
     g = kron(p, np.eye(n2)) + kron(np.eye(n1), q) - c - dagger(c)
-    _, v = np.linalg.eigh(g)
-    return v[:, 0].reshape(n1, n2)
+    lam, v = np.linalg.eigh(g)
+    null = int(np.count_nonzero(lam <= 1e-10 * lam[-1]))
+    if null <= 1:
+        return v[:, 0].reshape(n1, n2)
+    # The null basis LAPACK returns is arbitrary within the null space, and a
+    # single vector of it is often singular on the outputs' support; unit
+    # weights with golden-ratio phases give a combination that is not.
+    mix = np.exp(2j * np.pi * 0.6180339887498949 * np.arange(null))
+    return (v[:, :null] @ mix).reshape(n1, n2)
+
+
+def _lifted_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
+    """``W`` lifted from the intertwiner ``U`` of the Kraus-swapped pair.
+
+    ``U`` relates ``conjugate_kraus(ch1)`` to ``conjugate_kraus(ch2)``;
+    remixing ch2's Kraus list as ``B'_mu = sum_nu U_mu,nu B_nu`` matches it
+    index by index to ch1's, and ``W`` is the least-squares solution of
+    ``A_mu = W B'_mu``.
+    """
+    u, _ = _snap_to_partial_isometry(
+        _intertwiner_candidate(conjugate_kraus(ch1), conjugate_kraus(ch2))
+    )
+    remixed = np.einsum("mn,nab->mab", u, ch2.kraus)
+    return _stacked_ls_candidate(
+        ch1, KrausChannel(d_in=ch2.d_in, d_out=ch2.d_out, kraus=remixed)
+    )
 
 
 def find_relating_isometry(
@@ -159,13 +213,27 @@ def find_relating_isometry(
     Candidates are tried in order, each only when the one before it fails:
     a stacked least-squares solve when the Kraus lists are index-matched
     (the canonical conjugates are), then the intertwiner system on matrix
-    units.  Every candidate is projected onto the nearest partial isometry
-    by snapping singular values to {0, 1} at threshold 0.5.
+    units, solved for ``W`` directly when ``d_out1 d_out2 <= n_kraus1
+    n_kraus2`` and otherwise on the Kraus-swapped pair and lifted by least
+    squares (see the module docstring).  A degenerate intertwiner null
+    space gives a fixed generic combination of its basis.  Every candidate
+    is projected onto the nearest partial isometry at numerical rank.
+
+    A ``ValueError`` is raised, before anything is computed, when the
+    smaller intertwiner system has more than ``MAX_DIM^2`` unknowns.
     """
     if ch1.d_in != ch2.d_in:
         raise ValueError("channels have different input dimensions")
+    direct = ch1.d_out * ch2.d_out
+    swapped = ch1.n_kraus * ch2.n_kraus
+    if min(direct, swapped) > MAX_DIM**2:
+        raise ValueError(
+            f"relating the channels takes {min(direct, swapped)} unknowns, which "
+            f"exceeds the supported size ({MAX_DIM**2})"
+        )
+    second = _intertwiner_candidate if direct <= swapped else _lifted_candidate
     best: float | None = None
-    for candidate in (_stacked_ls_candidate, _intertwiner_candidate):
+    for candidate in (_stacked_ls_candidate, second):
         raw = candidate(ch1, ch2)
         if raw is None:
             continue

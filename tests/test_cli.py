@@ -135,6 +135,30 @@ def test_conjugate_methods_and_check(capsys, tmp_path):
     )
     assert code == 0 and "PASS" in err
 
+    # d = 6 with 36 Kraus operators: the relation is found on the 6 x 6
+    # Kraus-swapped system, not the 36^2 direct one.
+    big = tmp_path / "r6.json"
+    run_cli(capsys, "build", "random", "-d", "6", "--kraus", "36", "--out", str(big))
+    code, out, err = run_cli(capsys, "conjugate", "--in", str(big), "--method", "choi", "--check")
+    assert code == 0 and "rank 36: PASS" in err
+
+
+def test_conjugate_check_against_an_oversized_pair_is_refused(capsys, tmp_path):
+    # Two (1, 40, 40) channels: both intertwiner systems have 40 x 40 = 1600
+    # unknowns, above MAX_DIM^2 = 1024.
+    rng = rng_from_seed(3)
+    paths = []
+    for name in ("a.json", "b.json"):
+        ch = KrausChannel(d_in=1, d_out=40, kraus=random_kraus_operators(1, 40, 40, rng))
+        paths.append(tmp_path / name)
+        paths[-1].write_text(ser.dumps(ser.channel_to_obj(ch)))
+    code, out, err = run_cli(
+        capsys, "conjugate", "--in", str(paths[0]), "--check-against", str(paths[1])
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the supported size" in err
+    assert len(err.strip().splitlines()) == 1
+
 
 def test_apply_and_choi_commands(capsys, tmp_path):
     path = tmp_path / "id.json"

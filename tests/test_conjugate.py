@@ -199,3 +199,88 @@ def test_conjugate_channel_method_dispatch():
         assert chn.validate_cpt(cc).tp_ok
     with pytest.raises(ValueError):
         conj.conjugate_channel(ch, "nope")
+
+
+def mixed_and_rotated(ch, rng):
+    """``ch`` with its Kraus list mixed by one Haar unitary and its output
+    rotated by another: the same channel up to a unitary on the output."""
+    u, v = haar_unitary(ch.n_kraus, rng), haar_unitary(ch.d_out, rng)
+    ops = np.einsum("xa,jk,kab->jxb", v, u, ch.kraus)
+    return KrausChannel(d_in=ch.d_in, d_out=ch.d_out, kraus=ops)
+
+
+# (3, 3, 12): conjugate outputs 9 and 12 against 3 Kraus operators each, so
+# the intertwiner runs on the Kraus-swapped pair.  (2, 6, 2): outputs 2
+# against 4 and 6 Kraus operators, so it runs on the pair itself.
+@pytest.mark.parametrize("shape, lifted", [((3, 3, 12), True), ((2, 6, 2), False)])
+def test_find_relating_isometry_on_both_sides_of_the_rule(monkeypatch, shape, lifted):
+    rng = rng_from_seed(15)
+    ch = random_channel(rng, *shape)
+    via_kraus = conj.conjugate_channel(ch, "kraus")
+    via_choi = conj.conjugate_channel(ch, "choi")
+    pairs = [(via_choi, via_kraus), (via_kraus, via_choi), (mixed_and_rotated(via_kraus, rng), via_kraus)]
+    seen = []  # the output dimensions of each pair the intertwiner solves on
+    inner = conj._intertwiner_candidate
+
+    def spy(c1, c2):
+        seen.append((c1.d_out, c2.d_out))
+        return inner(c1, c2)
+
+    monkeypatch.setattr(conj, "_intertwiner_candidate", spy)
+    for c1, c2 in pairs:
+        seen.clear()
+        rel = conj.find_relating_isometry(c1, c2)
+        assert rel.residual < 1e-8
+        assert rel.rank == chn.kraus_rank(ch)
+        wtw = dagger(rel.w) @ rel.w
+        assert frobenius(wtw @ wtw - wtw) < 1e-8
+        assert seen == [(c1.n_kraus, c2.n_kraus) if lifted else (c1.d_out, c2.d_out)]
+
+    other = conj.conjugate_kraus(random_channel(rng, *shape))
+    for c1, c2 in ((via_kraus, other), (other, via_choi)):
+        seen.clear()
+        with pytest.raises(conj.NotConjugateError):
+            conj.find_relating_isometry(c1, c2)
+        assert seen == [(c1.n_kraus, c2.n_kraus) if lifted else (c1.d_out, c2.d_out)]
+
+
+def test_find_relating_isometry_eigensolves_only_the_smaller_system(monkeypatch):
+    # The direct intertwiner for these conjugates has 25 * 25 = 625 unknowns;
+    # the Kraus-swapped one has 5 * 5.
+    ch = random_channel(rng_from_seed(16), 5, 5, 25)
+    via_choi = conj.conjugate_channel(ch, "choi")
+    via_kraus = conj.conjugate_channel(ch, "kraus")
+    sizes = []
+    inner = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        sizes.append(m.shape[-1])
+        return inner(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rel = conj.find_relating_isometry(via_choi, via_kraus)
+    monkeypatch.undo()
+    assert rel.residual < 1e-8 and rel.rank == 25
+    assert sizes and max(sizes) <= 25
+
+
+def test_find_relating_isometry_with_a_degenerate_intertwiner():
+    # The completely dephasing channel is its own conjugate, and every
+    # diagonal matrix commutes with its outputs: the intertwiner's null space
+    # has dimension 4, and a single null vector is often singular.
+    ch = KrausChannel.from_operators([np.diag(np.eye(4)[i]) for i in range(4)])
+    c = conj.conjugate_kraus(ch)
+    for s in range(20):
+        c2 = mixed_and_rotated(c, rng_from_seed(s))
+        rel = conj.find_relating_isometry(c2, c)
+        assert rel.residual < 1e-8 and rel.rank == 4, s
+
+
+def test_find_relating_isometry_refuses_oversized_systems():
+    rng = rng_from_seed(17)
+    # 40 x 40 = 1600 unknowns on both sides, above MAX_DIM^2 = 1024.
+    a = random_channel(rng, 1, 40, 40)
+    b = random_channel(rng, 1, 40, 40)
+    with pytest.raises(ValueError, match="exceeds the supported size") as info:
+        conj.find_relating_isometry(a, b)
+    assert not isinstance(info.value, conj.NotConjugateError)
