@@ -186,12 +186,22 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
 def choi_to_kraus(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausChannel:
     """Minimal Kraus list from the Choi eigendecomposition.
 
-    The number of operators equals the Choi rank at the relative cutoff
-    ``tol``.  Eigenvalues are taken non-increasing with the deterministic
-    degenerate-basis convention of :func:`qcc.linalg.canonical_hermitian_eigh`.
+    One operator per eigenpair of :func:`choi_eigenpairs`, so their number
+    is the Choi rank at the relative cutoff ``tol``.
+    """
+    lam, vecs = choi_eigenpairs(choi, tol)
+    d, dp = choi.d_in, choi.d_out
+    return KrausChannel.from_operators(
+        [np.sqrt(d * w) * z.reshape(d, dp).T for w, z in zip(lam, vecs.T)]
+    )
 
-    Raises ``ValueError`` when an eigenvalue is negative beyond tolerance
-    (the map is not completely positive).
+
+def choi_eigenpairs(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above the relative cutoff ``tol``, non-increasing with the
+    deterministic degenerate-basis convention of
+    :func:`qcc.linalg.canonical_hermitian_eigh`, and their eigenvectors as
+    columns.  Raises ``ValueError`` when an eigenvalue is negative beyond
+    tolerance (not completely positive) or none is above the cutoff (zero).
     """
     w, v = canonical_hermitian_eigh(choi.gamma)
     scale = max(float(np.abs(w).max()), 1e-300)
@@ -200,11 +210,7 @@ def choi_to_kraus(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausChannel:
     keep = w > tol * scale
     if not keep.any():
         raise ValueError("Choi matrix is numerically zero")
-    d, dp = choi.d_in, choi.d_out
-    ops = []
-    for lam, z in zip(w[keep], v[:, keep].T):
-        ops.append(np.sqrt(d * lam) * z.reshape(d, dp).T)
-    return KrausChannel.from_operators(ops)
+    return w[keep], v[:, keep]
 
 
 def kraus_rank(ch: KrausChannel, tol: float = DEFAULT_TOL) -> int:

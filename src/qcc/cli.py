@@ -349,37 +349,32 @@ def cmd_choi(args) -> tuple[dict, int]:
 
 def cmd_nu(args) -> tuple[dict, int]:
     from .purity import nu_p
-    from .serialize import encode_vector
 
     ch = _load_channel(args.infile)
     rep = nu_p(ch, args.p, _opts(args))
-    results = {
-        "p": _p_echo(args.p),
-        "value": rep.value,
-        "converged": rep.converged,
-        "restarts": rep.restarts,
-        "iterations": rep.iterations,
-        "optimizer_state": encode_vector(rep.optimizer_state),
-    }
-    return _report("nu", args, results), EXIT_OK
+    return _report("nu", args, {"p": _p_echo(args.p), **_run_fields(rep)}), EXIT_OK
 
 
 def cmd_smin(args) -> tuple[dict, int]:
     from .purity import s_min
-    from .serialize import encode_vector
 
     ch = _load_channel(args.infile)
     base = math.e if args.base == "e" else 2.0
     rep = s_min(ch, _opts(args), base=base)
-    results = {
-        "base": args.base,
+    return _report("smin", args, {"base": args.base, **_run_fields(rep)}), EXIT_OK
+
+
+def _run_fields(rep) -> dict:
+    """The report fields of one optimizer run, in their printed order."""
+    from .serialize import encode_vector
+
+    return {
         "value": rep.value,
         "converged": rep.converged,
         "restarts": rep.restarts,
         "iterations": rep.iterations,
         "optimizer_state": encode_vector(rep.optimizer_state),
     }
-    return _report("smin", args, results), EXIT_OK
 
 
 def cmd_mult(args) -> tuple[dict, int]:

@@ -32,8 +32,9 @@ with symmetry), its vectors are ``W`` times elements of the output algebra's
 commutant, and only an invertible one snaps to a relating ``W``; a fixed
 generic combination of the null basis is taken.  Candidates are snapped to
 a partial isometry at numerical rank and accepted only by their residual on
-all matrix-unit inputs.  A pair whose smaller system has more than
-``MAX_DIM^2`` unknowns is refused with a ``ValueError`` before any work.
+all matrix-unit inputs.  A pair with a channel of ``d_in d_out > MAX_DIM^2``
+or whose smaller system has more than ``MAX_DIM^2`` unknowns is refused with
+a ``ValueError`` before any work.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ import numpy as np
 
 from . import channel as chn
 from .channel import AncillaRep, ChoiMatrix, KrausChannel, KrausRelation
-from .linalg import (
-    DEFAULT_TOL,
-    MAX_DIM,
-    canonical_hermitian_eigh,
-    dagger,
-    kron,
-)
+from .linalg import DEFAULT_TOL, MAX_DIM, dagger, kron
 
 
 class NotConjugateError(ValueError):
@@ -84,17 +79,21 @@ def conjugate_choi(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     The eigenbasis follows the module-wide deterministic ordering, so the
     result is reproducible; it is unique up to a block unitary on degenerate
     eigenspaces, which is exactly the partial-isometry freedom.
+
+    With ``kappa`` the Choi rank, the result is ``(d_in kappa)^2``; a
+    ``ValueError`` is raised before it is formed when ``d_in kappa >
+    MAX_DIM^2``.
     """
-    w, v = canonical_hermitian_eigh(choi.gamma)
-    scale = max(float(np.abs(w).max()), 1e-300)
-    if w.min() < -tol * scale:
-        raise ValueError(f"Choi matrix is not PSD: eigenvalue {w.min():.3e}")
-    keep = w > tol * scale
-    lam = w[keep]
-    kappa = int(keep.sum())
+    lam, vecs = chn.choi_eigenpairs(choi, tol)
+    kappa = lam.size
     d, dp = choi.d_in, choi.d_out
+    if d * kappa > MAX_DIM**2:
+        raise ValueError(
+            f"the conjugate's Choi matrix has dimension d_in * kappa = {d * kappa}, which "
+            f"exceeds the supported size ({MAX_DIM**2})"
+        )
     # Purification amplitudes T[a, c, b] = sqrt(lam_c) z_c[(a, b)].
-    z = v[:, keep].T.reshape(kappa, d, dp)
+    z = vecs.T.reshape(kappa, d, dp)
     t = np.sqrt(lam)[:, None, None] * z
     t = t.transpose(1, 0, 2).reshape(d * kappa, dp)
     gamma_ac = t @ dagger(t)
@@ -219,17 +218,20 @@ def find_relating_isometry(
     space gives a fixed generic combination of its basis.  Every candidate
     is projected onto the nearest partial isometry at numerical rank.
 
-    A ``ValueError`` is raised, before anything is computed, when the
-    smaller intertwiner system has more than ``MAX_DIM^2`` unknowns.
+    A ``ValueError`` is raised, before anything is computed, when either
+    channel has ``d_in d_out > MAX_DIM^2`` or the smaller intertwiner system
+    has more than ``MAX_DIM^2`` unknowns.
     """
     if ch1.d_in != ch2.d_in:
         raise ValueError("channels have different input dimensions")
     direct = ch1.d_out * ch2.d_out
     swapped = ch1.n_kraus * ch2.n_kraus
-    if min(direct, swapped) > MAX_DIM**2:
+    # The residual check forms each channel's (d_in d_out)^2 Choi matrix.
+    choi = ch1.d_in * max(ch1.d_out, ch2.d_out)
+    if max(choi, min(direct, swapped)) > MAX_DIM**2:
         raise ValueError(
-            f"relating the channels takes {min(direct, swapped)} unknowns, which "
-            f"exceeds the supported size ({MAX_DIM**2})"
+            f"relating the channels takes {min(direct, swapped)} unknowns and Choi "
+            f"matrices of dimension {choi}, which exceeds the supported size ({MAX_DIM**2})"
         )
     second = _intertwiner_candidate if direct <= swapped else _lifted_candidate
     best: float | None = None

@@ -6,6 +6,10 @@ states is attained there).  The optimizers are multistart local ascents and
 therefore report *certified one-sided bounds*: the returned value is always
 achieved by ``optimizer_state``, never an unverified global claim.
 
+Every run goes through :func:`_multistart`, which chooses the objective
+(``||sigma||_p`` for ``p >= 1``, ``-S`` in nats for ``p = None``), the
+engine and the starts; the public entries and the gap routine all call it.
+
 On a pure input the optimizer never forms a density matrix.  With the Kraus
 stack ``K`` of shape ``(n, d_out, d_in)`` and ``M = K psi`` of shape
 ``(n, d_out)``, the channel output is ``Phi(psi psi^+) = M^T conj(M)`` and the
@@ -57,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -358,14 +361,6 @@ def _gradient_restart(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: i
     return psi, it, converged
 
 
-def _gradient_ascent(kern: _Kernel, starts: np.ndarray, p, tol: float, max_iter: int):
-    """:func:`_gradient_restart` from each row of ``starts`` in turn; each
-    restart has its own line search."""
-    runs = [_gradient_restart(kern, s, p, tol, max_iter) for s in starts]
-    psi, iters, conv = zip(*runs)
-    return np.array(psi), np.array(iters), np.array(conv)
-
-
 @functools.lru_cache(maxsize=64)
 def _haar_starts(d_in: int, seed: int, count: int) -> np.ndarray:
     """The read-only ``(count, d_in)`` stack of Haar starts ``r = 0 .. count - 1``
@@ -378,26 +373,40 @@ def _haar_starts(d_in: int, seed: int, count: int) -> np.ndarray:
     return starts
 
 
-def _multistart(kern: _Kernel, p: float, opts: OptimizerOptions, initial_states, engine, score):
-    """Run ``engine(kern, starts)`` from ``initial_states`` and
-    ``opts.restarts`` Haar-random states; report the final state whose
-    spectrum has the highest ``score``, the first one on ties."""
+def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> PurityReport:
+    """The optimizer's one entry: maximize ``||sigma||_p`` (``p >= 1``) or,
+    for ``p = None``, ``-S(sigma)`` in nats, from ``initial_states`` and
+    ``opts.restarts`` Haar states; the fixed point runs for p >= 2, gradient
+    ascent otherwise.  Reports the best final state, the first on ties."""
+    if p is not None and not p >= 1:
+        raise ValueError(f"p must be at least 1, got {p}")
     seeded = [np.asarray(s, dtype=complex) for s in initial_states]
     seeded = np.array([s / np.linalg.norm(s) for s in seeded], dtype=complex).reshape(-1, kern.d_in)
     psi0 = np.concatenate([seeded, _haar_starts(kern.d_in, opts.seed, opts.restarts)])
     if not len(psi0):
         raise ValueError("the optimizer needs at least one start: restarts or initial_states")
-    psi, iters, conv = engine(kern, psi0)
-    vals = score(kern.spectrum(psi))
+    if p is not None and p >= 2:
+        psi, iters, conv = _fixed_point(kern, psi0, p, opts.tol, opts.max_iter)
+    else:
+        runs = [_gradient_restart(kern, s, p, opts.tol, opts.max_iter) for s in psi0]
+        psi, iters, conv = map(np.array, zip(*runs))
+    w = kern.spectrum(psi)
+    vals = -_entropy_nat(w) if p is None else pnorm(w, p)
     best = int(np.argmax(vals))
     return PurityReport(
         value=float(vals[best]),
         optimizer_state=psi[best].copy(),
-        p=p,
+        p=1.0 if p is None else p,
         restarts=len(psi0),
         converged=bool(conv[best]),
         iterations=int(iters.sum()),
     )
+
+
+def _entropy_in_base(rep: PurityReport, base: float) -> PurityReport:
+    """An entropy report of :func:`_multistart` (``-S`` in nats) as ``S`` in
+    the given log base."""
+    return replace(rep, value=-rep.value / math.log(base))
 
 
 def nu_p(
@@ -414,18 +423,9 @@ def nu_p(
     can be supplied via ``initial_states`` (used e.g. to seed a product
     channel with the product of single-channel optimizers).
     """
-    return _nu_p(_Kernel(ch), p, opts, initial_states)
-
-
-def _nu_p(kern: _Kernel, p: float, opts: OptimizerOptions, initial_states=()) -> PurityReport:
-    """:func:`nu_p` on a kernel."""
-    if not p >= 1:
-        raise ValueError(f"nu_p requires p >= 1, got {p}")
-    if p >= 2:
-        engine = lambda kern, psi0: _fixed_point(kern, psi0, p, opts.tol, opts.max_iter)
-    else:
-        engine = lambda kern, psi0: _gradient_ascent(kern, psi0, p, opts.tol, opts.max_iter)
-    return _multistart(kern, p, opts, initial_states, engine, lambda w: pnorm(w, p))
+    if p is None:  # only the private path reads None, as the entropy
+        raise ValueError("nu_p requires a number p >= 1, got None")
+    return _multistart(_Kernel(ch), p, opts, initial_states)
 
 
 def s_min(
@@ -438,14 +438,7 @@ def s_min(
 
     A certified upper bound achieved by ``optimizer_state``.
     """
-    return _s_min(_Kernel(ch), opts, base, initial_states)
-
-
-def _s_min(kern: _Kernel, opts: OptimizerOptions, base: float, initial_states=()) -> PurityReport:
-    """:func:`s_min` on a kernel."""
-    engine = lambda kern, psi0: _gradient_ascent(kern, psi0, None, opts.tol, opts.max_iter)
-    rep = _multistart(kern, 1.0, opts, initial_states, engine, lambda w: -_entropy_nat(w))
-    return replace(rep, value=-rep.value / math.log(base))
+    return _entropy_in_base(_multistart(_Kernel(ch), None, opts, initial_states), base)
 
 
 def spectrum_pair_check(
@@ -465,9 +458,9 @@ def spectrum_pair_check(
     return sa, sb, dev
 
 
-def _gap_reports(run, ch1: KrausChannel, ch2: KrausChannel, opts: OptimizerOptions, better):
-    """Single-channel and product reports for a gap; ``run(kern, opts,
-    initial_states=...)`` optimizes on a kernel.
+def _gap_reports(ch1: KrausChannel, ch2: KrausChannel, p, opts: OptimizerOptions):
+    """Single-channel and product reports of :func:`_multistart` for a gap,
+    at ``p`` (``None`` for the entropy), each value the maximized objective.
 
     The product run is optimized on :class:`_ProductKernel` and seeded with
     the tensor product of the single-channel optima.  The single runs are
@@ -482,22 +475,22 @@ def _gap_reports(run, ch1: KrausChannel, ch2: KrausChannel, opts: OptimizerOptio
 
     def rerun(rep: PurityReport, kern: _Kernel, start: np.ndarray) -> PurityReport:
         # rep, or a run from start alone if it does better; both runs count.
-        alt = run(kern, once, initial_states=[start])
-        best = alt if better(alt.value, rep.value) else rep
+        alt = _multistart(kern, p, once, initial_states=[start])
+        best = alt if alt.value > rep.value else rep
         return replace(
             best, restarts=rep.restarts + alt.restarts, iterations=rep.iterations + alt.iterations
         )
 
     def gained(new: PurityReport, old: PurityReport) -> bool:
         # A gain within the optimizer's tolerance is rounding, not a new optimum.
-        gain = abs(new.value - old.value)
-        return better(new.value, old.value) and gain > opts.tol * abs(old.value)
+        return new.value - old.value > opts.tol * abs(old.value)
 
     k1, k2 = _Kernel(ch1), _Kernel(ch2)
-    r1 = run(k1, opts)
-    r2 = run(k2, opts)
+    r1 = _multistart(k1, p, opts)
+    r2 = _multistart(k2, p, opts)
     product = _ProductKernel(k1, k2)
-    r12 = run(product, opts, initial_states=[np.kron(r1.optimizer_state, r2.optimizer_state)])
+    start = np.kron(r1.optimizer_state, r2.optimizer_state)
+    r12 = _multistart(product, p, opts, initial_states=[start])
     u, _, vh = np.linalg.svd(r12.optimizer_state.reshape(ch1.d_in, ch2.d_in))
     s1 = rerun(r1, k1, u[:, 0])
     s2 = rerun(r2, k2, vh[0])
@@ -523,9 +516,9 @@ def multiplicativity_gap(
     A ``witness_state`` is returned only when the gap exceeds
     ``witness_tol`` (a candidate multiplicativity violation).
     """
-    r1, r2, r12 = _gap_reports(
-        lambda kern, o, **kw: _nu_p(kern, p, o, **kw), ch1, ch2, opts, operator.gt
-    )
+    if p is None:  # only the private path reads None, as the entropy
+        raise ValueError("multiplicativity_gap requires a number p >= 1, got None")
+    r1, r2, r12 = _gap_reports(ch1, ch2, p, opts)
     lhs = r12.value
     rhs = r1.value * r2.value
     gap = lhs - rhs
@@ -542,9 +535,7 @@ def additivity_gap_entropy(
     """Measure ``(S_min(ch1) + S_min(ch2)) - S_min(ch1 (x) ch2)`` (>= 0 up to
     optimizer slack; product states are feasible for the joint infimum).
     The runs are seeded as in :func:`multiplicativity_gap`."""
-    r1, r2, r12 = _gap_reports(
-        lambda kern, o, **kw: _s_min(kern, o, base, **kw), ch1, ch2, opts, operator.lt
-    )
+    r1, r2, r12 = (_entropy_in_base(r, base) for r in _gap_reports(ch1, ch2, None, opts))
     rhs = r1.value + r2.value
     lhs = r12.value
     return EntropyAdditivityGap(lhs=lhs, rhs=rhs, gap=rhs - lhs, report_1=r1, report_2=r2, report_12=r12)
@@ -567,5 +558,5 @@ def sampled_nu_p(
     w = np.clip(np.linalg.eigvalsh(kern.gram(kern.outputs(batch))), 0.0, None)
     vals = pnorm(w, p)
     best = int(np.argmax(vals))
-    rep = _nu_p(kern, p, replace(opts, restarts=0), initial_states=[batch[best]])
+    rep = _multistart(kern, p, replace(opts, restarts=0), initial_states=[batch[best]])
     return max(float(vals[best]), rep.value)

@@ -142,7 +142,8 @@ def channel_from_obj(obj) -> KrausChannel:
         if key not in obj:
             raise ValueError(f"channel JSON is missing field {key!r}")
     d_in, d_out = obj["d_in"], obj["d_out"]
-    if not isinstance(d_in, int) or not isinstance(d_out, int) or d_in < 1 or d_out < 1:
+    # bool is an int subclass, but a JSON true is not a dimension.
+    if any(type(d) is not int or d < 1 for d in (d_in, d_out)):
         raise ValueError("d_in and d_out must be positive integers")
     if not isinstance(obj["kraus"], list) or not obj["kraus"]:
         raise ValueError("kraus must be a non-empty array of matrices")

@@ -160,6 +160,44 @@ def test_conjugate_check_against_an_oversized_pair_is_refused(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_conjugate_routes_refuse_oversized_choi_matrices(capsys, tmp_path):
+    # A (d_in, d_out, n) = (8, 20, 160) channel has Choi rank 160: the Choi
+    # route's conjugate Choi matrix would have dimension 8 * 160 = 1280, and
+    # the ancilla route's conjugate has d_in * d_out = 1280, both above
+    # MAX_DIM^2 = 1024.
+    rng = rng_from_seed(31)
+    ch = KrausChannel(d_in=8, d_out=20, kraus=random_kraus_operators(8, 20, 160, rng))
+    path = tmp_path / "big.json"
+    path.write_text(ser.dumps(ser.channel_to_obj(ch)))
+    for argv in (["--method", "choi"], ["--method", "ancilla", "--check"]):
+        code, out, err = run_cli(capsys, "conjugate", "--in", str(path), *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "1280" in err and "exceeds the supported size" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_conjugate_choi_of_the_zero_map_is_refused(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(ser.dumps(ser.channel_to_obj(KrausChannel.from_operators([np.zeros((2, 2))]))))
+    code, out, err = run_cli(capsys, "conjugate", "--in", str(path), "--method", "choi")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: Choi matrix is numerically zero"
+
+
+def test_boolean_dimensions_are_rejected(capsys, tmp_path):
+    # JSON true loads as a Python bool, an int equal to 1, which would pass
+    # for the dimension of a one-dimensional channel.
+    for key in ("d_in", "d_out"):
+        obj = ser.channel_to_obj(chn.identity_channel(1))
+        obj[key] = True
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["choi"], ["nu", "-p", "2"]):
+            code, out, err = run_cli(capsys, *argv, "--in", str(path))
+            assert (code, out) == (2, ""), argv
+            assert err == "error: d_in and d_out must be positive integers\n"
+
+
 def test_apply_and_choi_commands(capsys, tmp_path):
     path = tmp_path / "id.json"
     run_cli(capsys, "build", "identity", "-d", "2", "--out", str(path))

@@ -284,3 +284,9 @@ def test_find_relating_isometry_refuses_oversized_systems():
     with pytest.raises(ValueError, match="exceeds the supported size") as info:
         conj.find_relating_isometry(a, b)
     assert not isinstance(info.value, conj.NotConjugateError)
+    # Conjugates of an (8, 20, 160) channel: small intertwiner systems (20 x 20
+    # unknowns), but each Choi matrix of the residual check is 1280 x 1280.
+    ch = random_channel(rng, 8, 20, 160)
+    a, b = conj.conjugate_kraus(ch), conj.conjugate_channel(ch, "ancilla")
+    with pytest.raises(ValueError, match="exceeds the supported size"):
+        conj.find_relating_isometry(a, b)

@@ -1,5 +1,4 @@
 import math
-import operator
 import warnings
 from dataclasses import replace
 
@@ -54,9 +53,13 @@ def test_nu_p_identity_channel():
 
 
 def test_nu_p_rejects_p_below_one():
-    for p in (0.9, math.nan):
+    # p = None reads as the entropy on the private path only.
+    ch = chn.identity_channel(2)
+    for p in (0.9, math.nan, None):
         with pytest.raises(ValueError):
-            nu_p(chn.identity_channel(2), p, FAST)
+            nu_p(ch, p, FAST)
+        with pytest.raises(ValueError):
+            multiplicativity_gap(ch, ch, p, FAST)
 
 
 @pytest.mark.parametrize(
@@ -236,38 +239,38 @@ def test_optimizer_rejects_channels_beyond_the_size_cap():
     assert _Kernel(KrausChannel.from_operators([np.eye(512, 2)])).d_out == 512
 
 
-def test_gap_product_is_not_rerun_for_a_gain_within_tolerance():
-    # A fake run whose re-seeded single runs gain one ulp: rounding, not a
-    # better optimum, so the product must run once only.
+def test_gap_product_is_not_rerun_for_a_gain_within_tolerance(monkeypatch):
+    # A fake optimizer whose re-seeded single runs gain one ulp: rounding, not
+    # a better optimum, so the product must run once only.  The gap compares
+    # the maximized objective, so the same holds for the entropy's -S.
     rng = rng_from_seed(27)
     c1, c2 = random_channel(rng, 2, 2, 2), random_channel(rng, 3, 2, 3)
     runs = []
 
-    def run(kern, opts, initial_states=()):
-        runs.append(kern)
-        value = 0.5
-        if initial_states and not isinstance(kern, purity._ProductKernel):
-            value = float(np.nextafter(value, 1.0))
-        state = np.zeros(kern.d_in, dtype=complex)
-        state[0] = 1.0
-        return purity.PurityReport(value, state, 2.0, 1, True, 1)
+    def fake(first, reseeded):
+        def run(kern, p, opts, initial_states=()):
+            runs.append(kern)
+            value = first
+            if initial_states and not isinstance(kern, purity._ProductKernel):
+                value = reseeded
+            state = np.zeros(kern.d_in, dtype=complex)
+            state[0] = 1.0
+            return purity.PurityReport(value, state, 2.0, 1, True, 1)
 
-    s1, s2, _ = purity._gap_reports(run, c1, c2, FAST, operator.gt)
-    assert s1.value > 0.5 and s2.value > 0.5
-    assert sum(isinstance(k, purity._ProductKernel) for k in runs) == 1
+        return run
 
-    # A gain beyond the tolerance does rerun the product.
-    runs.clear()
-    gain = 10 * FAST.tol
+    for p, first in ((2.0, 0.5), (None, -0.5)):
+        runs.clear()
+        monkeypatch.setattr(purity, "_multistart", fake(first, float(np.nextafter(first, 1.0))))
+        s1, s2, _ = purity._gap_reports(c1, c2, p, FAST)
+        assert s1.value > first and s2.value > first
+        assert sum(isinstance(k, purity._ProductKernel) for k in runs) == 1
 
-    def run_gaining(kern, opts, initial_states=()):
-        rep = run(kern, opts, initial_states)
-        if initial_states and not isinstance(kern, purity._ProductKernel):
-            rep = replace(rep, value=0.5 + gain)
-        return rep
-
-    purity._gap_reports(run_gaining, c1, c2, FAST, operator.gt)
-    assert sum(isinstance(k, purity._ProductKernel) for k in runs) == 2
+        # A gain beyond the tolerance does rerun the product.
+        runs.clear()
+        monkeypatch.setattr(purity, "_multistart", fake(first, first + 10 * FAST.tol))
+        purity._gap_reports(c1, c2, p, FAST)
+        assert sum(isinstance(k, purity._ProductKernel) for k in runs) == 2
 
 
 def test_gaps_never_build_the_product_stack(monkeypatch):
@@ -511,6 +514,21 @@ def test_additivity_gap_no_false_gap_from_missed_single_optimum():
         ch = KrausChannel(d_in=shape[0], d_out=shape[1], kraus=kraus)
         rep = additivity_gap_entropy(ch, ch, OptimizerOptions(restarts=1, seed=seed))
         assert abs(rep.gap) < 1e-8
+
+
+def test_additivity_gap_entropy_in_nats_is_the_bits_result_times_ln2():
+    rng = rng_from_seed(28)
+    c1, c2 = random_channel(rng, 2, 2, 3), random_channel(rng, 2, 3, 2)
+    bits = additivity_gap_entropy(c1, c2, FAST)
+    nats = additivity_gap_entropy(c1, c2, FAST, base=math.e)
+    ln2 = math.log(2)
+    for field in ("lhs", "rhs", "gap"):
+        assert abs(getattr(nats, field) - getattr(bits, field) * ln2) <= 1e-14
+    for field in ("report_1", "report_2", "report_12"):
+        b, n = getattr(bits, field), getattr(nats, field)
+        assert abs(n.value - b.value * ln2) <= 1e-15 * max(1.0, abs(n.value))
+        assert np.array_equal(n.optimizer_state, b.optimizer_state)
+        assert (n.restarts, n.iterations, n.converged) == (b.restarts, b.iterations, b.converged)
 
 
 def test_multiplicativity_gap_matches_conjugate_pair():
