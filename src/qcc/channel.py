@@ -118,7 +118,6 @@ class KrausRelation:
 
 @dataclass(frozen=True)
 class CPTReport:
-    cp_ok: bool
     tp_ok: bool
     max_residual: float
 
@@ -152,18 +151,20 @@ def adjoint_superoperator(ch: KrausChannel) -> np.ndarray:
 def validate_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> CPTReport:
     """Diagnostic CPT check.
 
-    Complete positivity is automatic for any Kraus list, so ``cp_ok`` is
-    always true; ``tp_ok`` holds iff the spectral norm of
+    Complete positivity is automatic for any Kraus list, so only trace
+    preservation is reported: ``tp_ok`` holds iff the spectral norm of
     ``sum F_k^+ F_k - I`` is below ``tol``.
     """
     stack = ch.kraus.reshape(-1, ch.d_in)
     s = dagger(stack) @ stack
     resid = float(np.abs(np.linalg.eigvalsh(s - np.eye(ch.d_in))).max())
-    return CPTReport(cp_ok=True, tp_ok=resid < tol, max_residual=resid)
+    return CPTReport(tp_ok=resid < tol, max_residual=resid)
 
 
-def require_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> None:
-    rep = validate_cpt(ch, tol)
+def require_cpt(ch: KrausChannel) -> None:
+    """Raise ``ValueError`` unless :func:`validate_cpt` finds the TP residual
+    below ``1e-8``."""
+    rep = validate_cpt(ch, 1e-8)
     if not rep.tp_ok:
         raise ValueError(
             f"Kraus list is not trace-preserving (residual {rep.max_residual:.3e})"
@@ -183,51 +184,51 @@ def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(d_in=ch.d_in, d_out=ch.d_out, gamma=gamma)
 
 
-def choi_to_kraus(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausChannel:
+def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     """Minimal Kraus list from the Choi eigendecomposition.
 
     One operator per eigenpair of :func:`choi_eigenpairs`, so their number
-    is the Choi rank at the relative cutoff ``tol``.
+    is the Choi rank at the relative cutoff ``DEFAULT_TOL``.
     """
-    lam, vecs = choi_eigenpairs(choi, tol)
+    lam, vecs = choi_eigenpairs(choi)
     d, dp = choi.d_in, choi.d_out
     return KrausChannel.from_operators(
         [np.sqrt(d * w) * z.reshape(d, dp).T for w, z in zip(lam, vecs.T)]
     )
 
 
-def choi_eigenpairs(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues above the relative cutoff ``tol``, non-increasing with the
-    deterministic degenerate-basis convention of
+def choi_eigenpairs(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above the relative cutoff ``DEFAULT_TOL``, non-increasing
+    with the deterministic degenerate-basis convention of
     :func:`qcc.linalg.canonical_hermitian_eigh`, and their eigenvectors as
     columns.  Raises ``ValueError`` when an eigenvalue is negative beyond
     tolerance (not completely positive) or none is above the cutoff (zero).
     """
     w, v = canonical_hermitian_eigh(choi.gamma)
     scale = max(float(np.abs(w).max()), 1e-300)
-    if w.min() < -tol * scale:
+    if w.min() < -DEFAULT_TOL * scale:
         raise ValueError(f"Choi matrix is not PSD: eigenvalue {w.min():.3e}")
-    keep = w > tol * scale
+    keep = w > DEFAULT_TOL * scale
     if not keep.any():
         raise ValueError("Choi matrix is numerically zero")
     return w[keep], v[:, keep]
 
 
-def kraus_rank(ch: KrausChannel, tol: float = DEFAULT_TOL) -> int:
-    """Rank of the Choi matrix at the relative cutoff ``tol``."""
+def kraus_rank(ch: KrausChannel) -> int:
+    """Rank of the Choi matrix at the relative cutoff ``DEFAULT_TOL``."""
     w = np.linalg.eigvalsh(kraus_to_choi(ch).gamma)
     scale = max(float(np.abs(w).max()), 1e-300)
-    return int((w > tol * scale).sum())
+    return int((w > DEFAULT_TOL * scale).sum())
 
 
-def is_generalized_extreme(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
+def is_generalized_extreme(ch: KrausChannel) -> bool:
     """Whether the minimal representation needs at most ``d_out`` operators.
 
     Channels with ``kraus_rank <= d_out`` extend the extreme points of the
     CPT set (true extreme points and the flat boundary pieces); conjugating
     reduces multiplicativity questions to exactly this class.
     """
-    return kraus_rank(ch, tol) <= ch.d_out
+    return kraus_rank(ch) <= ch.d_out
 
 
 def kraus_to_ancilla(ch: KrausChannel) -> AncillaRep:
@@ -256,18 +257,16 @@ def choi_distance(ch1: KrausChannel, ch2: KrausChannel) -> float:
     return frobenius(kraus_to_choi(ch1).gamma - kraus_to_choi(ch2).gamma)
 
 
-def relate_kraus_sets(
-    f: KrausChannel, g: KrausChannel, tol: float = CHANNEL_EQ_TOL
-) -> KrausRelation:
+def relate_kraus_sets(f: KrausChannel, g: KrausChannel) -> KrausRelation:
     """Mixing matrix ``W`` with ``F_j = sum_k w_jk G_k`` for a minimal ``G``.
 
     ``g`` must be a minimal Kraus list (e.g. from :func:`choi_to_kraus`),
     whose vectorized operators are orthogonal; the coefficients are then
     plain projections.  Both lists must represent the same channel (Choi
-    distance below ``tol``).
+    distance below ``CHANNEL_EQ_TOL``).
     """
     dist = choi_distance(f, g)
-    if dist >= tol:
+    if dist >= CHANNEL_EQ_TOL:
         raise ValueError(f"Kraus lists represent different channels (Choi distance {dist:.3e})")
     gv = g.kraus.reshape(g.n_kraus, -1)
     fv = f.kraus.reshape(f.n_kraus, -1)

@@ -427,7 +427,7 @@ def cmd_pauli(args) -> tuple[dict, int]:
             psi = _principal_vector(rho)
             gamma = pmod.nc_image_explicit(basis, psi)
         else:
-            gamma = pmod.noisy_conjugate_image(basis, rho).matrix
+            gamma = pmod.noisy_conjugate_image(basis, rho)
         checks = pmod.nc_image_checks(basis, gamma)
         results = {
             "gamma": ser.encode_matrix(gamma),

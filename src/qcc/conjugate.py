@@ -43,7 +43,7 @@ import numpy as np
 
 from . import channel as chn
 from .channel import AncillaRep, ChoiMatrix, KrausChannel, KrausRelation
-from .linalg import DEFAULT_TOL, MAX_DIM, dagger, kron
+from .linalg import MAX_DIM, dagger, kron
 
 
 class NotConjugateError(ValueError):
@@ -71,7 +71,7 @@ def conjugate_ancilla(rep: AncillaRep) -> KrausChannel:
     return KrausChannel(d_in=rep.d_in, d_out=rep.env_dim, kraus=blocks.copy())
 
 
-def conjugate_choi(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
+def conjugate_choi(choi: ChoiMatrix) -> ChoiMatrix:
     """Conjugate channel's Choi matrix via purification.
 
     Purifies the Choi state on (input copy) (x) (output copy) with a third
@@ -80,11 +80,12 @@ def conjugate_choi(choi: ChoiMatrix, tol: float = DEFAULT_TOL) -> ChoiMatrix:
     result is reproducible; it is unique up to a block unitary on degenerate
     eigenspaces, which is exactly the partial-isometry freedom.
 
-    With ``kappa`` the Choi rank, the result is ``(d_in kappa)^2``; a
+    With ``kappa`` the Choi rank at the relative cutoff ``DEFAULT_TOL`` (see
+    :func:`qcc.channel.choi_eigenpairs`), the result is ``(d_in kappa)^2``; a
     ``ValueError`` is raised before it is formed when ``d_in kappa >
     MAX_DIM^2``.
     """
-    lam, vecs = chn.choi_eigenpairs(choi, tol)
+    lam, vecs = chn.choi_eigenpairs(choi)
     kappa = lam.size
     d, dp = choi.d_in, choi.d_out
     if d * kappa > MAX_DIM**2:

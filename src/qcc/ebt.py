@@ -127,30 +127,31 @@ def conjugate_ebt(ch: EBTChannel) -> tuple[HadamardChannel, KrausChannel]:
     return HadamardChannel(x_gram=gram, frame=ch.w), conjugate_kraus(ch.channel)
 
 
-def pseudodiag_kraus(ch: EBTChannel, tol: float = DEFAULT_TOL) -> KrausChannel:
+def pseudodiag_kraus(ch: EBTChannel) -> KrausChannel:
     """Kraus operators ``R_m = sum_j C[j, m] |e_j><w_j|`` for the conjugate,
     with ``C C^+`` equal to the Gram matrix of the ``x`` vectors.
 
-    The factor comes from the eigendecomposition truncated at ``tol`` (a
-    strict Cholesky would fail on rank-deficient Gram matrices), so the
-    number of operators equals the Gram rank.
+    The factor comes from the eigendecomposition truncated at the relative
+    cutoff ``DEFAULT_TOL`` (a strict Cholesky would fail on rank-deficient
+    Gram matrices), so the number of operators equals the Gram rank.
     """
     had, _ = conjugate_ebt(ch)
-    return _hadamard_kraus(had.x_gram, np.stack(ch.w), tol)
+    return _hadamard_kraus(had.x_gram, np.stack(ch.w))
 
 
-def _hadamard_kraus(gram: np.ndarray, fr: np.ndarray, tol: float) -> KrausChannel:
+def _hadamard_kraus(gram: np.ndarray, fr: np.ndarray) -> KrausChannel:
     """``R_m = sum_j C[j, m] |e_j><w_j|`` for the frame rows ``fr`` and the
-    factor ``C C^+ = gram``, truncated at ``tol``."""
+    factor ``C C^+ = gram``, truncated at the relative cutoff ``DEFAULT_TOL``."""
     w, v = hermitian_eigh((gram + dagger(gram)) / 2)
-    keep = w > tol * max(float(w.max()), 1e-300)
+    keep = w > DEFAULT_TOL * max(float(w.max()), 1e-300)
     c = v[:, keep] * np.sqrt(w[keep])
     ops = np.einsum("jm,jk->mjk", c, fr.conj(), optimize=True)
     return KrausChannel(d_in=fr.shape[1], d_out=fr.shape[0], kraus=ops)
 
 
-def hadamard_form_channel(gram: np.ndarray, frame, tol: float = DEFAULT_TOL) -> KrausChannel:
-    """Kraus form of ``rho -> X * W_rho`` for a given Gram matrix and frame.
+def hadamard_form_channel(gram: np.ndarray, frame) -> KrausChannel:
+    """Kraus form of ``rho -> X * W_rho`` for a given Gram matrix and frame,
+    one operator per Gram eigenvalue above ``DEFAULT_TOL`` of the largest.
 
     Requires the trace-preserving condition
     ``sum_j X_jj |w_j><w_j| = I`` to hold for the supplied data.
@@ -160,7 +161,7 @@ def hadamard_form_channel(gram: np.ndarray, frame, tol: float = DEFAULT_TOL) -> 
     tp = np.einsum("j,ja,jb->ab", np.diagonal(had.x_gram).real, fr, fr.conj())
     if frobenius(tp - np.eye(fr.shape[1])) > 1e-8:
         raise ValueError("Gram diagonal and frame do not satisfy trace preservation")
-    return _hadamard_kraus(had.x_gram, fr, tol)
+    return _hadamard_kraus(had.x_gram, fr)
 
 
 def random_hadamard_channel(d_in: int, n: int, rng) -> KrausChannel:
@@ -183,17 +184,15 @@ class HadamardDetection:
     gram: np.ndarray | None
 
 
-def is_hadamard_form(
-    ch: KrausChannel, tol: float = 1e-8, ambiguous_ratio: float = 1e-4
-) -> HadamardDetection:
+def is_hadamard_form(ch: KrausChannel) -> HadamardDetection:
     """Detect whether all Kraus operators share the pattern
     ``sum_j c_jm |e_j><w_j|`` for a common frame ``{w_j}``.
 
     Row ``j`` of every Kraus operator must be proportional to a single
     vector ``w_j^+``; the test is the relative size of the second singular
-    value of the stacked rows.  Ratios between ``tol`` and
-    ``ambiguous_ratio`` are reported as ``ambiguous`` rather than forced
-    either way.
+    value of the stacked rows.  The verdict is ``yes`` when every ratio is
+    at most ``1e-8``, ``no`` when one exceeds ``1e-4``, and ``ambiguous``
+    in between rather than forced either way.
     """
     n_rows = ch.d_out
     frame = []
@@ -207,14 +206,14 @@ def is_hadamard_form(
             continue
         ratio = float(s[1] / s[0]) if s.size > 1 else 0.0
         worst = max(worst, ratio)
-        if ratio > ambiguous_ratio:
+        if ratio > 1e-4:
             return HadamardDetection(verdict="no", frame=None, gram=None)
         w_j = vh[0].conj()
         anchor = w_j[np.argmax(np.abs(w_j))]
         w_j = w_j * (abs(anchor) / anchor)
         frame.append(w_j)
         coeffs[j] = rows @ w_j
-    if worst > tol:
+    if worst > 1e-8:
         return HadamardDetection(verdict="ambiguous", frame=None, gram=None)
     gram = coeffs @ dagger(coeffs)
     return HadamardDetection(verdict="yes", frame=tuple(frame), gram=gram)

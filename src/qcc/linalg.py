@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default relative cutoff separating "zero" eigenvalues/singular values from
-#: genuine ones.  Everything that takes a ``tol`` argument defaults to this.
+#: Relative cutoff separating "zero" eigenvalues/singular values from genuine
+#: ones: fixed where a docstring names it, and the default of most ``tol``s.
 DEFAULT_TOL = 1e-10
 
 #: Largest dimension of a channel that ``qcc build`` makes and of a Pauli
@@ -51,13 +51,11 @@ def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def canonical_hermitian_eigh(
-    m: np.ndarray, degeneracy_tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
+def canonical_hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`hermitian_eigh` but with a deterministic eigenbasis.
 
-    Degenerate eigenspaces (eigenvalues within ``degeneracy_tol`` relative to
-    the spectral radius) are given a canonical basis by orthonormalising the
+    Degenerate eigenspaces (eigenvalues within ``1e-9`` relative to the
+    spectral radius) are given a canonical basis by orthonormalising the
     projections of the standard basis vectors, taken in index order, onto the
     eigenspace.  Each vector's phase is fixed by making its first
     significant entry real and positive.  The result depends only on ``m``,
@@ -70,7 +68,7 @@ def canonical_hermitian_eigh(
     i = 0
     while i < n:
         j = i + 1
-        while j < n and abs(w[j] - w[i]) <= degeneracy_tol * scale:
+        while j < n and abs(w[j] - w[i]) <= 1e-9 * scale:
             j += 1
         block = v[:, i:j]
         if j - i > 1:
@@ -115,7 +113,6 @@ class Spectrum:
     """Non-zero part of a Hermitian spectrum, sorted non-increasing."""
 
     values: np.ndarray
-    tolerance: float = DEFAULT_TOL
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -205,13 +202,13 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     return float(pnorm(s, p))
 
 
-def von_neumann_entropy(rho: np.ndarray, base: float = 2.0, tol: float = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
     """Von Neumann entropy ``-sum_i lam_i log(lam_i)`` with ``0 log 0 = 0``.
 
     Parameters
     ----------
     rho
-        Density matrix: PSD within ``tol`` (relative to its largest
+        Density matrix: PSD within ``DEFAULT_TOL`` (relative to its largest
         eigenvalue) and unit trace within ``1e-8``.
     base
         Logarithm base; ``2`` gives bits, ``numpy.e`` nats.
@@ -225,7 +222,7 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0, tol: float = DEFAULT
     rho = np.asarray(rho)
     w = np.linalg.eigvalsh(rho)
     scale = max(float(w.max()), 0.0) if w.size else 0.0
-    if w.size and w.min() < -tol * max(scale, 1.0):
+    if w.size and w.min() < -DEFAULT_TOL * max(scale, 1.0):
         raise ValueError(f"matrix is not PSD: eigenvalue {w.min():.3e}")
     tr = float(w.sum())
     if abs(tr - 1.0) > 1e-8:
@@ -235,8 +232,9 @@ def von_neumann_entropy(rho: np.ndarray, base: float = 2.0, tol: float = DEFAULT
     return float(-(nz * np.log(nz)).sum() / np.log(base))
 
 
-def nonzero_spectrum(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Eigenvalues of a Hermitian matrix with ``|lam| > tol * lam_max`` kept.
+def nonzero_spectrum(m: np.ndarray) -> Spectrum:
+    """Eigenvalues of a Hermitian matrix with ``|lam| > DEFAULT_TOL * lam_max``
+    kept.
 
     Raises ``ValueError`` when ``m`` deviates from Hermitian by more than
     ``1e-8`` relative to its norm.
@@ -246,9 +244,9 @@ def nonzero_spectrum(m: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     if frobenius(m - dagger(m)) > 1e-8 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, _ = hermitian_eigh((m + dagger(m)) / 2)
-    cutoff = tol * max(float(np.abs(w).max()), 0.0) if w.size else 0.0
+    cutoff = DEFAULT_TOL * max(float(np.abs(w).max()), 0.0) if w.size else 0.0
     kept = w[np.abs(w) > cutoff]
-    return Spectrum(values=np.sort(kept)[::-1], tolerance=tol)
+    return Spectrum(values=np.sort(kept)[::-1])
 
 
 def majorizes(a, b, tol: float = DEFAULT_TOL) -> bool:

@@ -249,15 +249,7 @@ def qubit_nu_p_closed_form(weights, p: float) -> float:
     return float(pnorm(np.array([1 + lam, 1 - lam]) / 2, p))
 
 
-@dataclass(frozen=True)
-class NcImage:
-    """One element of the image of the completely noisy channel's conjugate."""
-
-    matrix: np.ndarray
-    source_state: np.ndarray
-
-
-def noisy_conjugate_image(basis: PauliBasis, rho: np.ndarray) -> NcImage:
+def noisy_conjugate_image(basis: PauliBasis, rho: np.ndarray) -> np.ndarray:
     """``gamma`` with ``gamma_mn = Tr[T_m rho T_n^+] / d^2``.
 
     The first row carries the Bloch coefficients of ``rho`` (scaled by
@@ -268,8 +260,7 @@ def noisy_conjugate_image(basis: PauliBasis, rho: np.ndarray) -> NcImage:
     if rho.shape != (d, d):
         raise ValueError(f"state must be {d}x{d}")
     trho = np.einsum("mab,bc->mac", basis.ops, rho, optimize=True)
-    gamma = np.einsum("mac,nac->mn", trho, basis.ops.conj(), optimize=True) / (d * d)
-    return NcImage(matrix=gamma, source_state=rho)
+    return np.einsum("mac,nac->mn", trho, basis.ops.conj(), optimize=True) / (d * d)
 
 
 def nc_image_explicit(basis: PauliBasis, psi: np.ndarray) -> np.ndarray:
@@ -323,14 +314,14 @@ def nc_image_checks(basis: PauliBasis, gamma: np.ndarray) -> NcImageChecks:
     )
 
 
-def find_U_T(basis: PauliBasis, samples=(), tol: float = DEFAULT_TOL) -> np.ndarray:
+def find_U_T(basis: PauliBasis, samples=()) -> np.ndarray:
     """Unitary ``U`` with ``N^C(rho) = U (I (x) rho)/d U^+`` for every state.
 
     Constructed, not fitted: row ``m`` is the row-major vectorization of
     ``T_m`` scaled by ``1/sqrt(d)`` (the basis change from matrix units to
     the ``T`` basis).  Verification is mandatory: the factorization is
     checked on two canonical states plus any supplied ``samples``, and a
-    residual above ``tol`` raises.
+    residual above ``DEFAULT_TOL`` raises.
     """
     d = basis.d
     u = basis.ops.reshape(d * d, d * d) / np.sqrt(d)
@@ -340,11 +331,13 @@ def find_U_T(basis: PauliBasis, samples=(), tol: float = DEFAULT_TOL) -> np.ndar
     eye = np.eye(d)
     plus = np.full((d, d), 1.0 / d, dtype=complex)
     for rho in (eye / d, plus, *samples):
-        gamma = noisy_conjugate_image(basis, rho).matrix
+        gamma = noisy_conjugate_image(basis, rho)
         model = u @ kron(eye, np.asarray(rho)) @ dagger(u) / d
         resid = frobenius(gamma - model)
-        if resid > tol:
-            raise ValueError(f"noise-factorization residual {resid:.3e} exceeds {tol:.1e}")
+        if resid > DEFAULT_TOL:
+            raise ValueError(
+                f"noise-factorization residual {resid:.3e} exceeds {DEFAULT_TOL:.1e}"
+            )
     return u
 
 
@@ -358,7 +351,36 @@ def recover_state(basis: PauliBasis, gamma: np.ndarray) -> np.ndarray:
 
 def bloch_coefficients(basis: PauliBasis, rho: np.ndarray) -> np.ndarray:
     """Coefficients ``v_m = Tr[T_m^+ rho]`` of ``rho = (1/d) sum_m v_m T_m``."""
-    return np.einsum("mab,ab->m", basis.ops.conj(), np.asarray(rho), optimize=True)
+    rho = np.asarray(rho)
+    if rho.shape != (basis.d, basis.d):
+        raise ValueError(f"state must be {basis.d}x{basis.d}")
+    return np.einsum("mab,ab->m", basis.ops.conj(), rho, optimize=True)
+
+
+def _generated(basis: PauliBasis, gens) -> tuple[int, ...]:
+    """Sorted indices of the subgroup generated by the basis elements
+    ``gens``, phases dropped; the identity ``0`` comes first."""
+    members = {0}
+    frontier = [0]
+    while frontier:
+        new = {int(basis.prod_index[a, g]) for a in frontier for g in gens} - members
+        members |= new
+        frontier = list(new)
+    return tuple(sorted(members))
+
+
+def _cosets(basis: PauliBasis, sub) -> tuple[tuple[int, ...], ...]:
+    """The cosets ``T_rep sub`` partitioning the index set, each sorted, in
+    order of their least index."""
+    assigned: set[int] = set()
+    cosets = []
+    for rep in range(basis.size):
+        if rep in assigned:
+            continue
+        coset = tuple(sorted(int(basis.prod_index[rep, s]) for s in sub))
+        cosets.append(coset)
+        assigned.update(coset)
+    return tuple(cosets)
 
 
 @dataclass(frozen=True)
@@ -375,34 +397,13 @@ def subgroup_of_support(
     """Subgroup generated by the basis elements carrying non-zero Bloch
     coefficients of ``rho``, with its coset partition of the index set."""
     v = bloch_coefficients(basis, rho)
-    gens = {int(m) for m in np.flatnonzero(np.abs(v) > tol)}
-    gens.add(0)
-    members = set(gens)
-    frontier = list(members)
-    prod = basis.prod_index
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in members:
-                new.add(int(prod[a, b]))
-                new.add(int(prod[b, a]))
-        new -= members
-        members |= new
-        frontier = list(new)
-    sub = tuple(sorted(members))
-    assigned = set()
-    cosets = []
-    for rep in range(basis.size):
-        if rep in assigned:
-            continue
-        coset = tuple(sorted(int(prod[rep, s]) for s in sub))
-        cosets.append(coset)
-        assigned.update(coset)
+    gens = {int(m) for m in np.flatnonzero(np.abs(v) > tol)} | {0}
+    sub = _generated(basis, gens)
     return SubgroupReport(
         generator_indices=tuple(sorted(gens)),
         subgroup_indices=sub,
         order=len(sub),
-        cosets=tuple(cosets),
+        cosets=_cosets(basis, sub),
     )
 
 
@@ -491,40 +492,25 @@ def standard_axis_generators(d: int) -> list[int]:
     return [basis_index(0, 1)] + [basis_index(1, k) for k in range(d)]
 
 
-def cyclic_group_indices(basis: PauliBasis, m: int) -> tuple[int, ...]:
-    members = [0]
-    cur = m
-    while cur != 0:
-        members.append(cur)
-        cur = int(basis.prod_index[cur, m])
-    return tuple(members)
-
-
-def axes_channel(
-    basis: PauliBasis, s: float, t, u: float, generators=None
-) -> PauliDiagonalChannel:
+def axes_channel(basis: PauliBasis, s: float, t, u: float) -> PauliDiagonalChannel:
     """Convex mixture of the identity, per-axis pinchings, and full noise.
 
-    ``t`` lists one weight per axis; axes default to the standard disjoint
-    cyclic groups.  Basis elements not covered by any listed axis behave as
-    axes with ``t = 0``.  The induced Pauli weights are
-    ``a_0 = s + sum(t)/d + u/d^2`` and ``a_m = t_L/d + u/d^2`` on axis L;
-    a negative weight means the mixture is not completely positive.
+    ``t`` lists one weight per axis, axis ``L`` the cyclic group of the
+    ``L``-th of :func:`standard_axis_generators`.  Basis elements not covered
+    by any listed axis behave as axes with ``t = 0``.  The induced Pauli
+    weights are ``a_0 = s + sum(t)/d + u/d^2`` and ``a_m = t_L/d + u/d^2`` on
+    axis L; a negative weight means the mixture is not completely positive.
     """
     d = basis.d
     t = list(t)
-    if generators is None:
-        generators = standard_axis_generators(d)[: len(t)]
-    if len(generators) != len(t):
-        raise ValueError("need one generator per axis weight")
+    if len(t) > d + 1:
+        raise ValueError(f"at most d + 1 = {d + 1} axis weights, got {len(t)}")
     if abs(s + sum(t) + u - 1.0) > 1e-10:
         raise ValueError("s + sum(t) + u must equal 1")
-    groups = [cyclic_group_indices(basis, g) for g in generators]
+    groups = [_generated(basis, [g]) for g in standard_axis_generators(d)[: len(t)]]
     seen: set[int] = set()
     for grp in groups:
-        if len(grp) != d:
-            raise ValueError("axis generator does not generate a group of order d")
-        body = set(grp) - {0}
+        body = set(grp[1:])
         if body & seen:
             raise ValueError("axis groups are not mutually disjoint")
         seen |= body
@@ -576,11 +562,8 @@ def majorization_bound(ch: PauliDiagonalChannel, p: float) -> MajorizationBound:
     ambiguous = any(abs(b[g * d - 1] - b[g * d]) < 1e-12 for g in range(1, d))
     subgroup: bool | None = None
     if not ambiguous:
-        g0 = next(g for g, blk in enumerate(partition) if 0 in blk)
-        members = set(partition[g0])
-        subgroup = all(
-            int(ch.basis.prod_index[a, bb]) in members for a in members for bb in members
-        )
+        block = next(blk for blk in partition if 0 in blk)
+        subgroup = _generated(ch.basis, block) == tuple(sorted(block))
     return MajorizationBound(
         bound=bound,
         beta=beta,
@@ -595,7 +578,6 @@ class PInftyCertificate:
     subgroup_ok: bool
     inequality_ok: bool
     certified: bool
-    conclusion: str
 
 
 def p_infty_multiplicativity_check(ch: PauliDiagonalChannel, r: int) -> PInftyCertificate:
@@ -608,31 +590,18 @@ def p_infty_multiplicativity_check(ch: PauliDiagonalChannel, r: int) -> PInftyCe
     """
     d = ch.d
     mb = majorization_bound(ch, math.inf)
-    subgroup_ok = bool(mb.identity_block_is_subgroup) and not mb.ambiguous
+    # identity_block_is_subgroup is None when the partition is ambiguous.
+    subgroup_ok = bool(mb.identity_block_is_subgroup)
     if subgroup_ok:
-        g0 = next(g for g, blk in enumerate(mb.partition) if 0 in blk)
-        members = set(mb.partition[g0])
-        for g, blk in enumerate(mb.partition):
-            if g == g0:
-                continue
-            rep = blk[0]
-            coset = {int(ch.basis.prod_index[rep, s]) for s in members}
-            if coset != set(blk):
-                subgroup_ok = False
-                break
+        block = next(blk for blk in mb.partition if 0 in blk)
+        blocks = {tuple(sorted(blk)) for blk in mb.partition}
+        subgroup_ok = set(_cosets(ch.basis, block)) == blocks
     b = ch.weights[np.argsort(-ch.weights, kind="stable")]
     inequality_ok = bool(b[d - 1] ** r > b[0] ** (r - 1) * b[d])
-    certified = subgroup_ok and inequality_ok
-    conclusion = (
-        f"nu_inf multiplicativity certified for {r} copies"
-        if certified
-        else "no certificate"
-    )
     return PInftyCertificate(
         subgroup_ok=subgroup_ok,
         inequality_ok=inequality_ok,
-        certified=certified,
-        conclusion=conclusion,
+        certified=subgroup_ok and inequality_ok,
     )
 
 
@@ -665,7 +634,7 @@ def classify_product_or_me(
     d = d1
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
-    gamma = noisy_conjugate_image(basis, np.outer(psi, psi.conj())).matrix
+    gamma = noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
     dec = is_decomposable(gamma, tol)
     d2dec = dec.decomposable and all(len(blk) == d * d for blk in dec.blocks)
     svals = np.linalg.svd(psi.reshape(d, d), compute_uv=False)
@@ -713,7 +682,7 @@ def noisy_image_norm_identity_residual(
     for ``gamma`` the noisy-conjugate image of a pure state."""
     d = ch.d
     psi = np.asarray(psi, dtype=complex)
-    gamma = noisy_conjugate_image(ch.basis, np.outer(psi, psi.conj())).matrix
+    gamma = noisy_conjugate_image(ch.basis, np.outer(psi, psi.conj()))
     sqa = np.diag(np.sqrt(ch.weights))
     a = np.diag(ch.weights)
     lhs = schatten_norm(sqa @ gamma @ sqa, p)

@@ -68,13 +68,14 @@ import numpy as np
 from . import channel as chn
 from .channel import KrausChannel
 from .conjugate import conjugate_kraus
-from .linalg import DEFAULT_TOL, MAX_DIM, Spectrum, nonzero_spectrum, pnorm
+from .linalg import MAX_DIM, Spectrum, nonzero_spectrum, pnorm
 from .random import derived_rng, haar_state
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Multistart optimizer configuration."""
+    """Multistart optimizer configuration.  ``restarts`` is capped at
+    ``MAX_DIM^2``, so that a Haar start stack is refused before it is built."""
 
     restarts: int = 32
     tol: float = 1e-10
@@ -84,6 +85,10 @@ class OptimizerOptions:
     def __post_init__(self):
         if not self.restarts >= 0:
             raise ValueError(f"restarts must be at least 0, got {self.restarts}")
+        if self.restarts > MAX_DIM**2:
+            raise ValueError(
+                f"restarts {self.restarts} exceeds the supported size (restarts <= {MAX_DIM**2})"
+            )
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.max_iter >= 1:
@@ -150,7 +155,7 @@ class _Kernel:
                 f"d_in * d_out = {ch.d_in * ch.d_out} exceeds the optimizer's supported "
                 f"size (d_in * d_out <= {MAX_DIM**2})"
             )
-        chn.require_cpt(ch, tol=1e-8)
+        chn.require_cpt(ch)
         self.channel = ch
         self.n, self.d_out, self.d_in = ch.kraus.shape
         self.rows = ch.kraus.reshape(self.n * self.d_out, self.d_in)
@@ -420,8 +425,8 @@ def nu_p(
     Returns a certified lower bound achieved by ``optimizer_state``;
     ``converged`` reports whether the winning restart's relative objective
     change fell below ``opts.tol``.  Extra deterministic starting vectors
-    can be supplied via ``initial_states`` (used e.g. to seed a product
-    channel with the product of single-channel optimizers).
+    can be supplied via ``initial_states``; they run before the Haar
+    restarts and win ties.
     """
     if p is None:  # only the private path reads None, as the entropy
         raise ValueError("nu_p requires a number p >= 1, got None")
@@ -441,16 +446,15 @@ def s_min(
     return _entropy_in_base(_multistart(_Kernel(ch), None, opts, initial_states), base)
 
 
-def spectrum_pair_check(
-    ch: KrausChannel, psi: np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[Spectrum, Spectrum, float]:
-    """Non-zero output spectra of the channel and its conjugate on one pure
-    input, plus their maximal entrywise deviation (zero-padded)."""
+def spectrum_pair_check(ch: KrausChannel, psi: np.ndarray) -> tuple[Spectrum, Spectrum, float]:
+    """Non-zero output spectra (:func:`qcc.linalg.nonzero_spectrum`, cutoff
+    ``DEFAULT_TOL``) of the channel and its conjugate on one pure input, plus
+    their maximal entrywise deviation (zero-padded)."""
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     rho = np.outer(psi, psi.conj())
-    sa = nonzero_spectrum(chn.apply(ch, rho), tol)
-    sb = nonzero_spectrum(chn.apply(conjugate_kraus(ch), rho), tol)
+    sa = nonzero_spectrum(chn.apply(ch, rho))
+    sb = nonzero_spectrum(chn.apply(conjugate_kraus(ch), rho))
     n = max(len(sa), len(sb))
     pa = np.pad(sa.values, (0, n - len(sa)))
     pb = np.pad(sb.values, (0, n - len(sb)))
@@ -504,7 +508,6 @@ def multiplicativity_gap(
     ch2: KrausChannel,
     p: float,
     opts: OptimizerOptions = DEFAULT_OPTS,
-    witness_tol: float = 1e-6,
 ) -> MultiplicativityGap:
     """Measure ``nu_p(ch1 (x) ch2) - nu_p(ch1) nu_p(ch2)``.
 
@@ -513,8 +516,8 @@ def multiplicativity_gap(
     beyond the final iteration's slack (product states are feasible).  The
     single-channel optimizers are seeded again from the product optimizer's
     state, so that a missed single-channel optimum does not read as a gap.
-    A ``witness_state`` is returned only when the gap exceeds
-    ``witness_tol`` (a candidate multiplicativity violation).
+    A ``witness_state`` is returned only when the gap exceeds ``1e-6`` (a
+    candidate multiplicativity violation).
     """
     if p is None:  # only the private path reads None, as the entropy
         raise ValueError("multiplicativity_gap requires a number p >= 1, got None")
@@ -522,7 +525,7 @@ def multiplicativity_gap(
     lhs = r12.value
     rhs = r1.value * r2.value
     gap = lhs - rhs
-    witness = r12.optimizer_state if gap > witness_tol else None
+    witness = r12.optimizer_state if gap > 1e-6 else None
     return MultiplicativityGap(lhs, rhs, gap, witness, r1, r2, r12)
 
 

@@ -56,10 +56,9 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random mixed state from a normalized Wishart matrix."""
-    r = rank if rank is not None else d
-    g = complex_gaussian(rng, (d, r))
+def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Random mixed state from a normalized ``d x d`` Wishart matrix."""
+    g = complex_gaussian(rng, (d, d))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 

@@ -189,9 +189,11 @@ def pauli_from_obj(obj) -> PauliDiagonalChannel:
     elif isinstance(tag, str) and tag.startswith("pauli_product:"):
         try:
             dims = json.loads(tag.split(":", 1)[1])
-            dims = [int(x) for x in dims]
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except json.JSONDecodeError as exc:
             raise ValueError(f"bad basis tag {tag!r}") from exc
+        # bool is an int subclass, but a JSON true is not a dimension.
+        if not isinstance(dims, list) or any(type(x) is not int for x in dims):
+            raise ValueError(f"bad basis tag {tag!r}: factor dimensions must be integers")
         if len(dims) < 2:
             raise ValueError("product basis needs at least two factors")
         basis = build_basis(dims[0])

@@ -285,7 +285,7 @@ def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
     for d, basis in bases.items():
         for _ in range(trials):
             psi = haar_state(d, rng)
-            gamma = pmod.noisy_conjugate_image(basis, np.outer(psi, psi.conj())).matrix
+            gamma = pmod.noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
             checks = pmod.nc_image_checks(basis, gamma)
             err_ab = max(err_ab, checks.projector, checks.diagonal)
             err_cd = max(err_cd, checks.modulus, checks.doubly_stochastic)
@@ -315,7 +315,7 @@ def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         w /= w.sum()
         ch = pmod.pauli_channel(basis, w)
         rho = random_density(d, rng)
-        gamma = pmod.noisy_conjugate_image(basis, rho).matrix
+        gamma = pmod.noisy_conjugate_image(basis, rho)
         sqa = np.diag(np.sqrt(ch.weights))
         model = d * d * sqa @ gamma @ sqa
         conj_out = chn.apply(conj.conjugate_kraus(ch.channel), rho)
@@ -339,7 +339,7 @@ def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
             ch = pmod.pauli_channel(basis, w)
             mb = pmod.majorization_bound(ch, 2)
             psi = haar_state(d, rng)
-            gamma = pmod.noisy_conjugate_image(basis, np.outer(psi, psi.conj())).matrix
+            gamma = pmod.noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
             eigs = np.linalg.eigvalsh(d**3 * gamma @ np.diag(ch.weights) @ gamma).real
             ok &= majorizes(mb.beta, np.clip(eigs, 0, None), tol=1e-9)
     out.append(CheckResult("beta majorizes the noisy-image eigenvalues", bool(ok), 0.0))
@@ -381,7 +381,7 @@ def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         basis = bases.get(d) or pmod.build_basis(d)
         for _ in range(max(3, trials // 5)):
             psi = haar_state(d, rng)
-            direct = pmod.noisy_conjugate_image(basis, np.outer(psi, psi.conj())).matrix
+            direct = pmod.noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
             err = max(err, float(np.abs(direct - pmod.nc_image_explicit(basis, psi)).max()))
     out.append(_result("explicit noisy-image formula equals direct computation", err, 1e-12))
 
@@ -392,7 +392,7 @@ def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         u = pmod.find_U_T(basis, samples=[random_density(d, rng) for _ in range(3)])
         for _ in range(max(3, trials // 5)):
             rho = random_density(d, rng)
-            gamma = pmod.noisy_conjugate_image(basis, rho).matrix
+            gamma = pmod.noisy_conjugate_image(basis, rho)
             model = u @ kron(np.eye(d), rho) @ dagger(u) / d
             err = max(err, frobenius(gamma - model))
             err = max(err, frobenius(pmod.recover_state(basis, gamma) - rho))
@@ -418,11 +418,11 @@ def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
     basis2 = bases[2]
     for m in (1, 2, 3):
         psi = pmod.axis_states(basis2, m)[0]
-        gamma = pmod.noisy_conjugate_image(basis2, np.outer(psi, psi.conj())).matrix
+        gamma = pmod.noisy_conjugate_image(basis2, np.outer(psi, psi.conj()))
         rep = pmod.is_decomposable(gamma)
         ok &= rep.decomposable and all(len(b) == 2 for b in rep.blocks)
     generic = haar_state(2, derived_rng(seed, 33))
-    gamma = pmod.noisy_conjugate_image(basis2, np.outer(generic, generic.conj())).matrix
+    gamma = pmod.noisy_conjugate_image(basis2, np.outer(generic, generic.conj()))
     ok &= not pmod.is_decomposable(gamma).decomposable
     out.append(CheckResult("qubit axis images decompose, generic ones do not", bool(ok), 0.0))
 

@@ -148,7 +148,7 @@ def test_06_noise_factorization_and_recovery():
         u = pm.find_U_T(basis)
         for _ in range(50):
             rho = random_density(d, rng)
-            gamma = pm.noisy_conjugate_image(basis, rho).matrix
+            gamma = pm.noisy_conjugate_image(basis, rho)
             model = u @ kron(np.eye(d), rho) @ dagger(u) / d
             worst = max(worst, frobenius(gamma - model))
             worst = max(worst, float(np.abs(pm.recover_state(basis, gamma) - rho).max()))
@@ -163,7 +163,7 @@ def test_07_noisy_image_structural_properties():
         basis = pm.build_basis(d)
         for _ in range(100):
             psi = haar_state(d, rng)
-            gamma = pm.noisy_conjugate_image(basis, np.outer(psi, psi.conj())).matrix
+            gamma = pm.noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
             c = pm.nc_image_checks(basis, gamma)
             worst = max(worst, c.projector, c.diagonal, c.modulus, c.doubly_stochastic)
     report(7, "noisy-image properties (projector, diagonal, modulus, stochastic)",
@@ -177,7 +177,7 @@ def test_08_explicit_noisy_image_formula():
         basis = pm.build_basis(d)
         for _ in range(50):
             psi = haar_state(d, rng)
-            direct = pm.noisy_conjugate_image(basis, np.outer(psi, psi.conj())).matrix
+            direct = pm.noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
             worst = max(worst, float(np.abs(direct - pm.nc_image_explicit(basis, psi)).max()))
     report(8, "explicit formula equals direct noisy image",
            worst < 1e-12, f"max entrywise deviation {worst:.2e}")

@@ -198,6 +198,39 @@ def test_boolean_dimensions_are_rejected(capsys, tmp_path):
             assert err == "error: d_in and d_out must be positive integers\n"
 
 
+def test_pauli_product_factor_dimensions_must_be_integers(capsys, tmp_path):
+    weights = [1 / 16] * 16
+    for dims in ("[2.7,2]", '["2",2]', "[2.0,2]", "[true,4]", '{"2": 2}'):
+        path = tmp_path / "pp.json"
+        path.write_text(json.dumps({"d": 4, "basis": f"pauli_product:{dims}", "weights": weights}))
+        code, out, err = run_cli(capsys, "pauli", "lambda", "--in", str(path))
+        assert (code, out) == (2, ""), dims
+        assert err.startswith("error: bad basis tag") and len(err.strip().splitlines()) == 1
+    path.write_text(json.dumps({"d": 4, "basis": "pauli_product:[2,2]", "weights": weights}))
+    code, out, _ = run_cli(capsys, "pauli", "lambda", "--in", str(path))
+    assert code == 0 and json.loads(out)["results"]["d"] == 4
+
+
+def test_restarts_beyond_the_cap_are_rejected(capsys, tmp_path):
+    dep = tmp_path / "dep.json"
+    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.5", "--out", str(dep))
+    for restarts in ("1025", "1000000000000"):
+        for argv in (["nu", "--in", str(dep), "-p", "2"], ["smin", "--in", str(dep)]):
+            code, out, err = run_cli(capsys, *argv, "--restarts", restarts)
+            assert (code, out) == (2, ""), argv
+            assert err == (
+                f"error: restarts {restarts} exceeds the supported size (restarts <= 1024)\n"
+            )
+
+
+def test_pauli_subgroup_rejects_a_state_of_the_wrong_shape(capsys, tmp_path):
+    state = tmp_path / "rho3.json"
+    state.write_text(ser.dumps(ser.encode_matrix(np.eye(3) / 3)))
+    code, out, err = run_cli(capsys, "pauli", "subgroup", "-d", "2", "--state", str(state))
+    assert (code, out) == (2, "")
+    assert err == "error: state must be 2x2\n"
+
+
 def test_apply_and_choi_commands(capsys, tmp_path):
     path = tmp_path / "id.json"
     run_cli(capsys, "build", "identity", "-d", "2", "--out", str(path))

@@ -114,6 +114,25 @@ def test_hadamard_form_channel_and_detection():
     assert eb.is_hadamard_form(generic).verdict == "no"
 
 
+def test_is_hadamard_form_verdict_follows_the_singular_value_ratio():
+    # Row 0 of the Kraus operators of a Hadamard-form channel is s0 u w^+.
+    # Adding eps s0 v^+ (v orthogonal to w) to row 0 of operator k makes the
+    # second singular value ratio eps sqrt(1 - |u_k|^2); taking the k with
+    # the least |u_k| of three keeps it within (0.8 eps, eps].
+    had = eb.random_hadamard_channel(2, 3, rng_from_seed(7))
+    assert had.n_kraus == 3
+    u, s, vh = np.linalg.svd(had.kraus[:, 0, :])
+    k = int(np.argmin(np.abs(u[:, 0])))
+    for eps, verdict in ((1e-10, "yes"), (1e-6, "ambiguous"), (1e-2, "no")):
+        kraus = had.kraus.copy()
+        kraus[k, 0] += eps * s[0] * vh[1]
+        sv = np.linalg.svd(kraus[:, 0, :], compute_uv=False)
+        assert 0.8 * eps < sv[1] / sv[0] < 1.01 * eps
+        det = eb.is_hadamard_form(chn.KrausChannel(d_in=2, d_out=3, kraus=kraus))
+        assert det.verdict == verdict
+        assert (det.frame is None) == (verdict != "yes")
+
+
 def test_double_conjugation_returns_ebt():
     rng = rng_from_seed(8)
     for _ in range(4):

@@ -140,7 +140,7 @@ def test_von_neumann_entropy_rejects_bad_states():
 
 
 def test_nonzero_spectrum_cutoff():
-    sp = nonzero_spectrum(np.diag([1.0, 1e-14]), tol=1e-10)
+    sp = nonzero_spectrum(np.diag([1.0, 1e-14]))
     assert len(sp) == 1 and abs(sp.values[0] - 1.0) < 1e-15
     proj = np.diag([1.0, 1.0, 1.0, 0.0])
     assert np.abs(nonzero_spectrum(proj).values - 1.0).max() < 1e-15

@@ -163,28 +163,28 @@ def test_qubit_lambda_weight_relation():
 
 def test_noisy_conjugate_image_basics():
     b3 = pm.build_basis(3)
-    gamma = pm.noisy_conjugate_image(b3, np.eye(3) / 3).matrix
+    gamma = pm.noisy_conjugate_image(b3, np.eye(3) / 3)
     assert np.abs(gamma - np.eye(9) / 9).max() < 1e-14
 
     rng = rng_from_seed(5)
     psi = haar_state(3, rng)
     rho = np.outer(psi, psi.conj())
     img = pm.noisy_conjugate_image(b3, rho)
-    checks = pm.nc_image_checks(b3, img.matrix)
+    checks = pm.nc_image_checks(b3, img)
     assert checks.projector < 1e-10
     assert checks.diagonal < 1e-12
     assert checks.modulus < 1e-12
     assert checks.doubly_stochastic < 1e-10
     # First row carries the Bloch coefficients.
     v = pm.bloch_coefficients(b3, rho)
-    assert np.abs(9 * img.matrix[0] - v).max() < 1e-12
+    assert np.abs(9 * img[0] - v).max() < 1e-12
 
 
 def test_qubit_axis_image_matches_displayed_blocks():
     b2 = pm.build_basis(2)
     for m in (1, 2, 3):
         psi = pm.axis_states(b2, m)[0]
-        gamma = pm.noisy_conjugate_image(b2, np.outer(psi, psi.conj())).matrix
+        gamma = pm.noisy_conjugate_image(b2, np.outer(psi, psi.conj()))
         rep = pm.is_decomposable(gamma)
         assert rep.decomposable and len(rep.blocks) == 2
         for block in rep.blocks:
@@ -201,7 +201,7 @@ def test_nc_image_explicit_matches_direct():
         e0 = np.zeros(d, dtype=complex)
         e0[0] = 1.0
         for psi in [e0] + [haar_state(d, rng) for _ in range(5)]:
-            direct = pm.noisy_conjugate_image(b, np.outer(psi, psi.conj())).matrix
+            direct = pm.noisy_conjugate_image(b, np.outer(psi, psi.conj()))
             explicit = pm.nc_image_explicit(b, psi)
             assert np.abs(direct - explicit).max() < 1e-12
 
@@ -212,7 +212,7 @@ def test_nc_image_blocks_are_cyclic_in_zx_ordering():
     d = 3
     b = pm.build_basis(d)
     psi = haar_state(d, rng)
-    gamma = pm.noisy_conjugate_image(b, np.outer(psi, psi.conj())).matrix
+    gamma = pm.noisy_conjugate_image(b, np.outer(psi, psi.conj()))
     jj, kk = np.divmod(np.arange(d * d), d)
     phases = np.exp(2j * np.pi / d) ** ((-jj * kk) % d)
     core = gamma / phases[:, None] / phases.conj()[None, :]
@@ -233,7 +233,7 @@ def test_find_u_t_and_recovery():
         u = pm.find_U_T(b, samples=samples)
         assert frobenius(u @ dagger(u) - np.eye(d * d)) < 1e-12
         rho = random_density(d, rng)
-        gamma = pm.noisy_conjugate_image(b, rho).matrix
+        gamma = pm.noisy_conjugate_image(b, rho)
         assert frobenius(gamma - u @ kron(np.eye(d), rho) @ dagger(u) / d) < 1e-12
         assert np.abs(pm.recover_state(b, gamma) - rho).max() < 1e-12
 
@@ -275,6 +275,15 @@ def test_bloch_coefficients():
     assert (np.abs(v) > 1e-10).sum() == 2
 
 
+def test_bloch_coefficients_reject_a_state_of_the_wrong_shape():
+    b2 = pm.build_basis(2)
+    for rho in (np.eye(3) / 3, np.ones(2) / 2):
+        with pytest.raises(ValueError, match="state must be 2x2"):
+            pm.bloch_coefficients(b2, rho)
+        with pytest.raises(ValueError, match="state must be 2x2"):
+            pm.subgroup_of_support(b2, rho)
+
+
 def test_subgroup_of_support():
     b3 = pm.build_basis(3)
     x_state = pm.axis_states(b3, b3.index_of(1, 0))[0]
@@ -308,7 +317,7 @@ def test_is_decomposable():
     rng = rng_from_seed(12)
     b2 = pm.build_basis(2)
     generic = haar_state(2, rng)
-    gamma = pm.noisy_conjugate_image(b2, np.outer(generic, generic.conj())).matrix
+    gamma = pm.noisy_conjugate_image(b2, np.outer(generic, generic.conj()))
     assert not pm.is_decomposable(gamma).decomposable
 
 
@@ -469,7 +478,7 @@ def test_decomposability_is_basis_dependent():
     pb = pm.product_basis(b2, b2)
     v1 = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     v2 = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    img = lambda basis, v: pm.noisy_conjugate_image(basis, np.outer(v, v.conj())).matrix
+    img = lambda basis, v: pm.noisy_conjugate_image(basis, np.outer(v, v.conj()))
     assert pm.is_decomposable(img(b4, v1)).decomposable
     assert pm.is_decomposable(img(pb, v1)).decomposable
     assert not pm.is_decomposable(img(b4, v2)).decomposable
@@ -501,7 +510,7 @@ def test_pauli_conjugate_composition_law():
         w /= w.sum()
         ch = pm.pauli_channel(b, w)
         rho = random_density(d, rng)
-        gamma = pm.noisy_conjugate_image(b, rho).matrix
+        gamma = pm.noisy_conjugate_image(b, rho)
         sqa = np.diag(np.sqrt(ch.weights))
         assert np.abs(chn.apply(conjugate_kraus(ch.channel), rho) - d * d * sqa @ gamma @ sqa).max() < 1e-12
 
@@ -520,7 +529,7 @@ def test_noisy_image_properties_hold_for_random_pure_states(seed, d):
     rng = rng_from_seed(seed)
     basis = pm.build_basis(d)
     psi = haar_state(d, rng)
-    gamma = pm.noisy_conjugate_image(basis, np.outer(psi, psi.conj())).matrix
+    gamma = pm.noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
     checks = pm.nc_image_checks(basis, gamma)
     assert checks.projector < 1e-10
     assert checks.diagonal < 1e-10

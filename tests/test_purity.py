@@ -73,6 +73,18 @@ def test_optimizer_options_reject_out_of_range_fields(field, value):
         replace(FAST, **{field: value})
 
 
+def test_optimizer_options_cap_restarts_at_max_dim_squared():
+    from qcc.linalg import MAX_DIM
+
+    assert OptimizerOptions(restarts=MAX_DIM**2).restarts == 1024
+    # Refused before the (restarts, d_in) start stack is allocated.
+    for restarts in (MAX_DIM**2 + 1, 10**12):
+        with pytest.raises(ValueError, match="restarts .* exceeds the supported size"):
+            OptimizerOptions(restarts=restarts)
+        with pytest.raises(ValueError, match="restarts .* exceeds the supported size"):
+            replace(FAST, restarts=restarts)
+
+
 def test_optimizer_needs_at_least_one_start():
     ch = chn.identity_channel(2)
     none = replace(FAST, restarts=0)
