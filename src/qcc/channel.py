@@ -19,11 +19,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    MAX_DIM,
     as_complex,
     canonical_hermitian_eigh,
     dagger,
     frobenius,
-    kron,
     partial_trace,
 )
 
@@ -123,10 +123,19 @@ class CPTReport:
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel action ``sum_k F_k rho F_k^+``."""
+    """Channel action ``sum_k F_k rho F_k^+``.
+
+    The sum is taken over an ``(n, d_out, d_out)`` stack, so a channel whose
+    stack exceeds ``MAX_DIM^4`` entries is refused with a ``ValueError``.
+    """
     rho = np.asarray(rho)
     if rho.shape != (ch.d_in, ch.d_in):
         raise ValueError(f"state must be {ch.d_in}x{ch.d_in}, got {rho.shape}")
+    if ch.n_kraus * ch.d_out**2 > MAX_DIM**4:
+        raise ValueError(
+            f"applying the channel takes n_kraus * d_out^2 = {ch.n_kraus * ch.d_out**2} "
+            f"entries, which exceeds the supported size ({MAX_DIM**4})"
+        )
     return (ch.kraus @ rho @ ch.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
@@ -176,7 +185,16 @@ def identity_channel(d: int) -> KrausChannel:
 
 
 def kraus_to_choi(ch: KrausChannel) -> ChoiMatrix:
-    """Choi matrix of a channel; PSD with the input marginal ``I/d`` when TP."""
+    """Choi matrix of a channel; PSD with the input marginal ``I/d`` when TP.
+
+    A channel with ``d_in d_out > MAX_DIM^2`` is refused with a
+    ``ValueError`` before the matrix is formed.
+    """
+    if ch.d_in * ch.d_out > MAX_DIM**2:
+        raise ValueError(
+            f"the Choi matrix has dimension d_in * d_out = {ch.d_in * ch.d_out}, which "
+            f"exceeds the supported size ({MAX_DIM**2})"
+        )
     # Gamma_{(j,m),(k,n)} = (1/d) sum_K F_K[m,j] conj(F_K[n,k]); each Kraus
     # operator contributes the rank-one term vec(F^T) vec(F^T)^+ / d.
     vecs = ch.kraus.transpose(0, 2, 1).reshape(ch.n_kraus, -1)
@@ -284,7 +302,7 @@ def relate_kraus_sets(f: KrausChannel, g: KrausChannel) -> KrausRelation:
 
 def tensor(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:
     """Tensor product channel: all pairwise Kraus products, first factor major."""
-    ops = [kron(a, b) for a in ch1.kraus for b in ch2.kraus]
+    ops = [np.kron(a, b) for a in ch1.kraus for b in ch2.kraus]
     return KrausChannel(
         d_in=ch1.d_in * ch2.d_in,
         d_out=ch1.d_out * ch2.d_out,

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import channel as chn
 from .channel import AncillaRep, ChoiMatrix, KrausChannel, KrausRelation
-from .linalg import MAX_DIM, dagger, kron
+from .linalg import MAX_DIM, dagger
 
 
 class NotConjugateError(ValueError):
@@ -118,7 +118,7 @@ def _matrix_unit_residual(ch1: KrausChannel, ch2: KrausChannel, w: np.ndarray) -
     d = ch1.d_in
     g1 = chn.kraus_to_choi(ch1).gamma
     g2 = chn.kraus_to_choi(ch2).gamma
-    iw = kron(np.eye(d), w)
+    iw = np.kron(np.eye(d), w)
     delta = d * (g1 - iw @ g2 @ dagger(iw))
     blocks = delta.reshape(d, ch1.d_out, d, ch1.d_out)
     return float(
@@ -172,7 +172,7 @@ def _intertwiner_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
     q = (b_cols @ dagger(b_cols)).conj()
     c = a.conj().reshape(d * d, n1 * n1).T @ b.reshape(d * d, n2 * n2)
     c = c.reshape(n1, n1, n2, n2).transpose(1, 3, 0, 2).reshape(n1 * n2, n1 * n2)
-    g = kron(p, np.eye(n2)) + kron(np.eye(n1), q) - c - dagger(c)
+    g = np.kron(p, np.eye(n2)) + np.kron(np.eye(n1), q) - c - dagger(c)
     lam, v = np.linalg.eigh(g)
     null = int(np.count_nonzero(lam <= 1e-10 * lam[-1]))
     if null <= 1:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .channel import KrausChannel
 from .conjugate import conjugate_kraus
-from .linalg import DEFAULT_TOL, as_complex, dagger, frobenius, hermitian_eigh
-from .random import haar_isometry, haar_state
+from .linalg import DEFAULT_TOL, MAX_DIM, as_complex, dagger, frobenius, hermitian_eigh
+from .random import haar_isometry, haar_state, haar_unitary
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,6 @@ def random_ebt(d_in: int, d_out: int, n: int, rng) -> EBTChannel:
 
 
 def random_cq(d: int, d_out: int, rng) -> EBTChannel:
-    from .random import haar_unitary
-
     u = haar_unitary(d, rng)
     return cq_channel([haar_state(d_out, rng) for _ in range(d)], list(u.T))
 
@@ -170,8 +168,6 @@ def random_hadamard_channel(d_in: int, n: int, rng) -> KrausChannel:
     t = haar_isometry(n, d_in, rng)
     norms = np.linalg.norm(t, axis=1)
     frame = [row / nr for row, nr in zip(t, norms)]
-    from .random import haar_unitary
-
     c = np.diag(norms) @ haar_unitary(n, rng)
     gram = c @ dagger(c)
     return hadamard_form_channel(gram, frame)
@@ -193,7 +189,15 @@ def is_hadamard_form(ch: KrausChannel) -> HadamardDetection:
     value of the stacked rows.  The verdict is ``yes`` when every ratio is
     at most ``1e-8``, ``no`` when one exceeds ``1e-4``, and ``ambiguous``
     in between rather than forced either way.
+
+    The Gram matrix is ``d_out x d_out``, so ``d_out > MAX_DIM^2`` is
+    refused with a ``ValueError`` before any work.
     """
+    if ch.d_out > MAX_DIM**2:
+        raise ValueError(
+            f"d_out = {ch.d_out} exceeds the supported size for Hadamard-form "
+            f"detection (d_out <= {MAX_DIM**2})"
+        )
     n_rows = ch.d_out
     frame = []
     coeffs = np.zeros((n_rows, ch.n_kraus), dtype=complex)

@@ -14,7 +14,7 @@ import numpy as np
 from . import channel as chn
 from .channel import KrausChannel
 from .conjugate import conjugate_kraus
-from .linalg import dagger, frobenius, kron
+from .linalg import dagger, frobenius
 
 #: Guard rails for the p-fold operators (d^p x d^p dense matrices).
 MAX_P = 4
@@ -109,7 +109,7 @@ def linearized_trace(x: np.ndarray, rho: np.ndarray, p: int) -> complex:
     """``Tr[rho^(x p) X]`` for a linearization operator ``X``."""
     big = rho
     for _ in range(p - 1):
-        big = kron(big, rho)
+        big = np.kron(big, rho)
     return complex(np.trace(big @ x))
 
 

@@ -9,6 +9,7 @@ Index convention: ``T_m = X^j Z^k`` with ``m = d*j + k`` (X power major).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -22,7 +23,6 @@ from .linalg import (
     dagger,
     frobenius,
     hermitian_eigh,
-    kron,
     partial_trace,
     pnorm,
     schatten_norm,
@@ -88,6 +88,20 @@ class PauliBasis:
         k = int(self.prod_index[am, n])
         return k, complex(self.adj_phase[m] * self.prod_phase[am, n])
 
+    @functools.cached_property
+    def _noise_unitary(self) -> np.ndarray:
+        """The unitary ``U`` of :func:`find_U_T`, read-only: built, and
+        checked on two canonical states, once per basis."""
+        d = self.d
+        u = self.ops.reshape(d * d, d * d) / np.sqrt(d)
+        unit = frobenius(u @ dagger(u) - np.eye(d * d))
+        if unit > 1e-10:
+            raise ValueError(f"construction failed: U is not unitary ({unit:.3e})")
+        plus = np.full((d, d), 1.0 / d, dtype=complex)
+        _check_noise_factorization(self, u, (np.eye(d) / d, plus))
+        u.setflags(write=False)
+        return u
+
     def conjugation_phases(self) -> np.ndarray:
         """Matrix ``C`` with ``T_n T_m T_n^+ = C[n, m] T_m``.
 
@@ -152,7 +166,7 @@ def product_basis(b1: PauliBasis, b2: PauliBasis) -> PauliBasis:
     """Tensor-product basis ``{T_m (x) T_n}`` on dimension ``d1 * d2``."""
     _check_dim(b1.d * b2.d)
     s2 = b2.size
-    ops = np.stack([kron(a, b) for a in b1.ops for b in b2.ops])
+    ops = np.stack([np.kron(a, b) for a in b1.ops for b in b2.ops])
     ones1 = np.ones_like(b1.prod_index)
     ones2 = np.ones_like(b2.prod_index)
     prod_index = np.kron(b1.prod_index * s2, ones2) + np.kron(ones1, b2.prod_index)
@@ -280,7 +294,7 @@ def nc_image_explicit(basis: PauliBasis, psi: np.ndarray) -> np.ndarray:
     for ell in range(d):
         u = psi[(ell - idx) % d]
         zvec = omega ** ((ell * idx) % d)
-        total += kron(np.outer(u, u.conj()), np.outer(zvec, zvec.conj()))
+        total += np.kron(np.outer(u, u.conj()), np.outer(zvec, zvec.conj()))
     jj, kk = np.divmod(np.arange(d * d), d)
     dphase = omega ** ((-jj * kk) % d)
     return (dphase[:, None] * total * dphase.conj()[None, :]) / (d * d)
@@ -320,25 +334,26 @@ def find_U_T(basis: PauliBasis, samples=()) -> np.ndarray:
     Constructed, not fitted: row ``m`` is the row-major vectorization of
     ``T_m`` scaled by ``1/sqrt(d)`` (the basis change from matrix units to
     the ``T`` basis).  Verification is mandatory: the factorization is
-    checked on two canonical states plus any supplied ``samples``, and a
-    residual above ``DEFAULT_TOL`` raises.
+    checked on two canonical states when ``U`` is first built for a basis,
+    which keeps it, and on any supplied ``samples`` at every call; a
+    residual above ``DEFAULT_TOL`` raises.  ``U`` is read-only.
     """
+    u = basis._noise_unitary
+    _check_noise_factorization(basis, u, samples)
+    return u
+
+
+def _check_noise_factorization(basis: PauliBasis, u: np.ndarray, states) -> None:
     d = basis.d
-    u = basis.ops.reshape(d * d, d * d) / np.sqrt(d)
-    unit = frobenius(u @ dagger(u) - np.eye(d * d))
-    if unit > 1e-10:
-        raise ValueError(f"construction failed: U is not unitary ({unit:.3e})")
     eye = np.eye(d)
-    plus = np.full((d, d), 1.0 / d, dtype=complex)
-    for rho in (eye / d, plus, *samples):
+    for rho in states:
         gamma = noisy_conjugate_image(basis, rho)
-        model = u @ kron(eye, np.asarray(rho)) @ dagger(u) / d
+        model = u @ np.kron(eye, np.asarray(rho)) @ dagger(u) / d
         resid = frobenius(gamma - model)
         if resid > DEFAULT_TOL:
             raise ValueError(
                 f"noise-factorization residual {resid:.3e} exceeds {DEFAULT_TOL:.1e}"
             )
-    return u
 
 
 def recover_state(basis: PauliBasis, gamma: np.ndarray) -> np.ndarray:
@@ -633,6 +648,8 @@ def classify_product_or_me(
         raise ValueError("classification requires two equal prime factors")
     d = d1
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (basis.d,):
+        raise ValueError(f"state must be a vector of length {basis.d}, got shape {psi.shape}")
     psi = psi / np.linalg.norm(psi)
     gamma = noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
     dec = is_decomposable(gamma, tol)

@@ -68,7 +68,7 @@ import numpy as np
 from . import channel as chn
 from .channel import KrausChannel
 from .conjugate import conjugate_kraus
-from .linalg import MAX_DIM, Spectrum, nonzero_spectrum, pnorm
+from .linalg import MAX_DIM, Spectrum, dagger, nonzero_spectrum, pnorm
 from .random import derived_rng, haar_state
 
 
@@ -109,36 +109,25 @@ class PurityReport:
 
     value: float
     optimizer_state: np.ndarray
-    p: float
     restarts: int
     converged: bool
     iterations: int
 
 
 @dataclass(frozen=True)
-class MultiplicativityGap:
-    lhs: float
-    rhs: float
-    gap: float
-    witness_state: np.ndarray | None
-    report_1: PurityReport
-    report_2: PurityReport
-    report_12: PurityReport
+class GapReport:
+    """A multiplicativity or additivity gap: ``lhs`` from the product run
+    ``report_12``, ``rhs`` from the single runs ``report_1`` and
+    ``report_2``.  Only :func:`multiplicativity_gap` sets a
+    ``witness_state``."""
 
-
-@dataclass(frozen=True)
-class EntropyAdditivityGap:
     lhs: float
     rhs: float
     gap: float
     report_1: PurityReport
     report_2: PurityReport
     report_12: PurityReport
-
-
-def _dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of the last two axes."""
-    return np.swapaxes(a, -1, -2).conj()
+    witness_state: np.ndarray | None = None
 
 
 class _Kernel:
@@ -175,7 +164,7 @@ class _Kernel:
     def gram(self, m: np.ndarray) -> np.ndarray:
         """The smaller of ``M M^+`` and ``M^T conj(M)``; its nonzero
         eigenvalues are the output's."""
-        return m @ _dag(m) if self.on_env else np.swapaxes(m, -1, -2) @ m.conj()
+        return m @ dagger(m) if self.on_env else np.swapaxes(m, -1, -2) @ m.conj()
 
     def eigh(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of :meth:`gram`, eigenvalues ascending and clipped at
@@ -194,7 +183,7 @@ class _Kernel:
             # Gram eigenpair (w_i, u_i) has output eigenvector M^T conj(u_i) / sqrt(w_i).
             u = np.swapaxes(m, -1, -2) @ u.conj()
             hw = hw / np.where(hw > 0, w, 1.0)
-        return (u * hw[..., None, :]) @ _dag(u)
+        return (u * hw[..., None, :]) @ dagger(u)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """``vec(Phi^+(X)) = S vec(X)``, ``X`` of shape ``(d_out, d_out)``."""
@@ -211,7 +200,7 @@ class _Kernel:
         """``M h(sigma)^T`` for one state, with ``h`` given on the Gram
         eigenpairs ``u``."""
         if self.on_env:
-            return (u * h) @ (_dag(u) @ m)  # h(M M^+) M = M h(sigma)^T
+            return (u * h) @ (dagger(u) @ m)  # h(M M^+) M = M h(sigma)^T
         return ((m @ u.conj()) * h) @ u.T
 
 
@@ -401,7 +390,6 @@ def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> 
     return PurityReport(
         value=float(vals[best]),
         optimizer_state=psi[best].copy(),
-        p=1.0 if p is None else p,
         restarts=len(psi0),
         converged=bool(conv[best]),
         iterations=int(iters.sum()),
@@ -508,7 +496,7 @@ def multiplicativity_gap(
     ch2: KrausChannel,
     p: float,
     opts: OptimizerOptions = DEFAULT_OPTS,
-) -> MultiplicativityGap:
+) -> GapReport:
     """Measure ``nu_p(ch1 (x) ch2) - nu_p(ch1) nu_p(ch2)``.
 
     The product optimizer is seeded with the tensor product of the two
@@ -526,7 +514,7 @@ def multiplicativity_gap(
     rhs = r1.value * r2.value
     gap = lhs - rhs
     witness = r12.optimizer_state if gap > 1e-6 else None
-    return MultiplicativityGap(lhs, rhs, gap, witness, r1, r2, r12)
+    return GapReport(lhs, rhs, gap, r1, r2, r12, witness_state=witness)
 
 
 def additivity_gap_entropy(
@@ -534,14 +522,14 @@ def additivity_gap_entropy(
     ch2: KrausChannel,
     opts: OptimizerOptions = DEFAULT_OPTS,
     base: float = 2.0,
-) -> EntropyAdditivityGap:
+) -> GapReport:
     """Measure ``(S_min(ch1) + S_min(ch2)) - S_min(ch1 (x) ch2)`` (>= 0 up to
     optimizer slack; product states are feasible for the joint infimum).
     The runs are seeded as in :func:`multiplicativity_gap`."""
     r1, r2, r12 = (_entropy_in_base(r, base) for r in _gap_reports(ch1, ch2, None, opts))
     rhs = r1.value + r2.value
     lhs = r12.value
-    return EntropyAdditivityGap(lhs=lhs, rhs=rhs, gap=rhs - lhs, report_1=r1, report_2=r2, report_12=r12)
+    return GapReport(lhs, rhs, rhs - lhs, r1, r2, r12)
 
 
 def sampled_nu_p(

@@ -28,20 +28,17 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random ``d x d`` unitary via QR of a Ginibre matrix.
+    """Haar-random ``d x d`` unitary: the square case of :func:`haar_isometry`."""
+    return haar_isometry(d, d, rng)
+
+
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random isometry (``rows >= cols``) via QR of a Ginibre matrix.
 
     The QR factor is rephased so the diagonal of R is real positive, which
     both fixes the Haar measure and makes the output independent of the
     backend's internal sign conventions.
     """
-    q, r = np.linalg.qr(complex_gaussian(rng, (d, d)))
-    diag = np.diagonal(r)
-    ph = diag / np.abs(diag)
-    return q * ph
-
-
-def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Random isometry (``rows >= cols``) with orthonormal columns."""
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
     q, r = np.linalg.qr(complex_gaussian(rng, (rows, cols)))

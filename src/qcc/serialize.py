@@ -111,15 +111,28 @@ def decode_complex(obj) -> complex:
     return complex(obj[0], obj[1])
 
 
+def _nested(obj) -> bool:
+    """Whether ``obj`` is a list whose first entry is itself a list."""
+    return isinstance(obj, list) and bool(obj) and isinstance(obj[0], list)
+
+
 def decode_vector(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError("vector must be a non-empty array of [re, im] pairs")
+    if all(_nested(e) for e in obj):
+        raise ValueError(
+            f"expected a vector of [re, im] pairs, got a matrix with {len(obj)} rows"
+        )
     return np.array([decode_complex(e) for e in obj])
 
 
 def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError("matrix must be a non-empty array of rows")
+    if not any(_nested(r) for r in obj):
+        raise ValueError(
+            f"expected a matrix of rows of [re, im] pairs, got a vector of length {len(obj)}"
+        )
     rows = [decode_vector(r) for r in obj]
     width = rows[0].size
     if any(r.size != width for r in rows):

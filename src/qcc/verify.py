@@ -21,7 +21,6 @@ from .linalg import (
     dagger,
     frobenius,
     hadamard_product,
-    kron,
     majorizes,
     nonzero_spectrum,
     partial_trace,
@@ -142,8 +141,8 @@ def suite_conjugate(seed: int = 0, trials: int = 20) -> list[CheckResult]:
     for _ in range(trials):
         c1, c2 = _random_channel(rng, 3, 4), _random_channel(rng, 3, 4)
         r1, r2 = random_density(c1.d_in, rng), random_density(c2.d_in, rng)
-        lhs = chn.apply(chn.tensor(c1, c2), kron(r1, r2))
-        err = max(err, frobenius(lhs - kron(chn.apply(c1, r1), chn.apply(c2, r2))))
+        lhs = chn.apply(chn.tensor(c1, c2), np.kron(r1, r2))
+        err = max(err, frobenius(lhs - np.kron(chn.apply(c1, r1), chn.apply(c2, r2))))
     out.append(_result("tensor factorizes on product states", err, 1e-12))
 
     rng = derived_rng(seed, 8)
@@ -393,7 +392,7 @@ def suite_pauli(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         for _ in range(max(3, trials // 5)):
             rho = random_density(d, rng)
             gamma = pmod.noisy_conjugate_image(basis, rho)
-            model = u @ kron(np.eye(d), rho) @ dagger(u) / d
+            model = u @ np.kron(np.eye(d), rho) @ dagger(u) / d
             err = max(err, frobenius(gamma - model))
             err = max(err, frobenius(pmod.recover_state(basis, gamma) - rho))
     out.append(_result("noise factorization and state recovery", err, 1e-10))

@@ -15,7 +15,7 @@ from qcc import ebt as eb
 from qcc import gl
 from qcc import pauli as pm
 from qcc.channel import KrausChannel
-from qcc.linalg import dagger, frobenius, kron, schatten_norm
+from qcc.linalg import dagger, frobenius, schatten_norm
 from qcc.purity import (
     OptimizerOptions,
     multiplicativity_gap,
@@ -149,7 +149,7 @@ def test_06_noise_factorization_and_recovery():
         for _ in range(50):
             rho = random_density(d, rng)
             gamma = pm.noisy_conjugate_image(basis, rho)
-            model = u @ kron(np.eye(d), rho) @ dagger(u) / d
+            model = u @ np.kron(np.eye(d), rho) @ dagger(u) / d
             worst = max(worst, frobenius(gamma - model))
             worst = max(worst, float(np.abs(pm.recover_state(basis, gamma) - rho).max()))
     report(6, "noisy conjugate factorization and state recovery",

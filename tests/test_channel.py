@@ -3,7 +3,7 @@ import pytest
 
 from qcc import channel as chn
 from qcc.channel import KrausChannel
-from qcc.linalg import dagger, frobenius, kron, partial_trace
+from qcc.linalg import dagger, frobenius, partial_trace
 from qcc.pauli import build_basis, depolarizing_weights, pauli_channel
 from qcc.random import (
     haar_isometry,
@@ -82,7 +82,7 @@ def test_kraus_to_choi_identity_and_noisy():
         for k in range(d):
             unit = np.zeros((d, d), dtype=complex)
             unit[j, k] = 1.0
-            want += kron(unit, chn.apply(noisy, unit)) / d
+            want += np.kron(unit, chn.apply(noisy, unit)) / d
     assert np.abs(got - want).max() < 1e-14
     assert np.abs(got - np.eye(4) / 4).max() < 1e-14
 
@@ -205,8 +205,8 @@ def test_tensor_channel():
     c1 = random_channel(rng, 2, 2, 2)
     c2 = random_channel(rng, 2, 3, 2)
     r1, r2 = random_density(2, rng), random_density(2, rng)
-    got = chn.apply(chn.tensor(c1, c2), kron(r1, r2))
-    assert np.abs(got - kron(chn.apply(c1, r1), chn.apply(c2, r2))).max() < 1e-12
+    got = chn.apply(chn.tensor(c1, c2), np.kron(r1, r2))
+    assert np.abs(got - np.kron(chn.apply(c1, r1), chn.apply(c2, r2))).max() < 1e-12
 
 
 def test_choi_of_tensor_is_permuted_tensor_of_chois():
@@ -219,7 +219,7 @@ def test_choi_of_tensor_is_permuted_tensor_of_chois():
     g12 = chn.kraus_to_choi(chn.tensor(c1, c2)).gamma
     g1 = chn.kraus_to_choi(c1).gamma
     g2 = chn.kraus_to_choi(c2).gamma
-    big = kron(g1, g2) * 2 * 2 / 4  # undo the two 1/d factors, apply 1/(d1 d2)
+    big = np.kron(g1, g2) * 2 * 2 / 4  # undo the two 1/d factors, apply 1/(d1 d2)
     perm = np.zeros(16, dtype=int)
     for a1 in range(2):
         for b1 in range(2):
@@ -255,3 +255,20 @@ def test_kraus_channel_validation():
         KrausChannel(d_in=2, d_out=3, kraus=np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
         chn.apply(chn.identity_channel(2), np.eye(3))
+
+
+def test_choi_and_apply_refuse_stacks_beyond_the_size_cap():
+    # d_in d_out = MAX_DIM^2 = 1024 forms a 1024 x 1024 Choi matrix; more is
+    # refused before anything is allocated.
+    at = KrausChannel.from_operators([np.eye(512, 2)])
+    assert chn.kraus_to_choi(at).gamma.shape == (1024, 1024)
+    for past in (np.eye(513, 2), np.eye(1025, 1)):
+        with pytest.raises(ValueError, match="exceeds the supported size"):
+            chn.kraus_to_choi(KrausChannel.from_operators([past]))
+    # apply sums an (n, d_out, d_out) stack: MAX_DIM^4 entries pass, more do not.
+    for ops in ([np.eye(1024, 1)], [np.eye(512, 1)] * 4):
+        at = KrausChannel.from_operators(ops)
+        assert chn.apply(at, np.eye(1))[0, 0] == len(ops)
+    for ops in ([np.eye(1025, 1)], [np.eye(513, 1)] * 4):
+        with pytest.raises(ValueError, match="exceeds the supported size"):
+            chn.apply(KrausChannel.from_operators(ops), np.eye(1))

@@ -618,6 +618,124 @@ def test_optimizer_commands_reject_channels_beyond_the_size_cap(capsys, tmp_path
         assert len(err.strip().splitlines()) == 1
 
 
+def test_choi_forming_commands_refuse_channels_beyond_the_size_cap(capsys, tmp_path):
+    # One Kraus operator from C^1 into C^1025: the Choi matrix would have
+    # dimension d_in d_out = 1025, the applied stack 1025^2 entries and the
+    # Hadamard-form Gram matrix 1025 rows, each above its cap.
+    path = tmp_path / "tall.json"
+    path.write_text(ser.dumps(ser.channel_to_obj(KrausChannel.from_operators([np.eye(1025, 1)]))))
+    state = tmp_path / "one.json"
+    state.write_text(json.dumps([[[1, 0]]]))
+    for argv in (
+        ["choi"],
+        ["conjugate", "--method", "choi"],
+        ["apply", "--state", str(state)],
+        ["ebt", "detect"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "exceeds the supported size" in err, argv
+        assert len(err.strip().splitlines()) == 1
+
+
+VECTOR3 = [[1, 0], [0, 0], [0, 0]]
+MATRIX2 = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+
+
+@pytest.mark.parametrize(
+    "argv, state, message",
+    [
+        (["pauli", "classify", "-d", "2"], VECTOR3,
+         "state must be a vector of length 4, got shape (3,)"),
+        (["pauli", "classify", "-d", "2"], MATRIX2,
+         "expected a vector of [re, im] pairs, got a matrix with 2 rows"),
+        (["pauli", "subgroup", "-d", "2"], VECTOR3,
+         "expected a matrix of rows of [re, im] pairs, got a vector of length 3"),
+        (["pauli", "ncimage", "-d", "2"], VECTOR3,
+         "expected a matrix of rows of [re, im] pairs, got a vector of length 3"),
+        (["apply", "--in", "CHANNEL"], VECTOR3,
+         "expected a matrix of rows of [re, im] pairs, got a vector of length 3"),
+    ],
+    ids=["classify-short-vector", "classify-matrix", "subgroup-vector", "ncimage-vector",
+         "apply-vector"],
+)
+def test_state_files_of_the_wrong_kind_name_what_was_expected(capsys, tmp_path, argv, state, message):
+    channel = tmp_path / "id.json"
+    channel.write_text(ser.dumps(ser.channel_to_obj(chn.identity_channel(2))))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    argv = [str(channel) if a == "CHANNEL" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def _pauli_obj(d, basis, n_weights=None):
+    n = d * d if n_weights is None else n_weights
+    return {"d": d, "basis": basis, "weights": [1 / n] * n}
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        (["choi"], [1, 2], "channel JSON must be an object"),
+        (["choi"], {"d_in": 1, "d_out": 1, "kraus": "x"}, "kraus must be a non-empty array"),
+        # Kraus list with sum F^+ F = 4 I: not trace-preserving.
+        (["nu", "-p", "2"], {"d_in": 1, "d_out": 1, "kraus": [[[[2, 0]]]]},
+         "Kraus list is not trace-preserving"),
+        (["pauli", "lambda"], {"d": 2, "weights": [1, 0, 0, 0]},
+         "Pauli-diagonal JSON needs d, basis, and weights"),
+        (["pauli", "lambda"], _pauli_obj(1, "pauli"), "d must be an integer >= 2"),
+        (["pauli", "lambda"], _pauli_obj(4, "pauli_product:[2,"), "bad basis tag"),
+        (["pauli", "lambda"], _pauli_obj(4, "pauli_product:[4]"),
+         "product basis needs at least two factors"),
+        (["pauli", "lambda"], _pauli_obj(3, "pauli_product:[2,2]"),
+         "product of [2, 2] has dimension 4, not 3"),
+        (["pauli", "lambda"], _pauli_obj(2, "weyl"), "unknown basis tag 'weyl'"),
+        (["ebt", "conjugate"], {"x": [[[1, 0]]]}, "EBT JSON needs x and w vector lists"),
+    ],
+    ids=["channel-not-object", "kraus-not-array", "not-trace-preserving", "pauli-missing-field",
+         "pauli-d-below-2", "tag-unparsable", "tag-one-factor", "tag-mis-sized", "tag-unknown",
+         "ebt-missing-w"],
+)
+def test_malformed_input_files_are_rejected(capsys, tmp_path, command, obj, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *command, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_paths_beyond_the_common_ones(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "build", "axes", "-d", "3", "-s", "0.5", "-t", "0.25,0.25",
+                           "-u", "0", "--pauli-json")
+    weights = json.loads(out)["weights"]
+    assert code == 0 and abs(weights[0] - (0.5 + 0.5 / 3)) < 1e-15
+    assert sorted(i for i, w in enumerate(weights) if w > 0) == [0, 1, 2, 3, 6]
+
+    code, out, _ = run_cli(capsys, "build", "ebt", "-d", "2", "--seed", "4")
+    assert code == 0 and chn.validate_cpt(ser.channel_from_obj(json.loads(out))).tp_ok
+    code, out, _ = run_cli(capsys, "build", "ebt", "-d", "2", "-n", "4", "--ebt-json")
+    assert code == 0 and len(json.loads(out)["x"]) == 4
+
+    state = tmp_path / "plus.json"
+    state.write_text(json.dumps([[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]))
+    for extra in ([], ["--explicit"]):
+        code, out, _ = run_cli(capsys, "pauli", "ncimage", "-d", "2", "--state", str(state), *extra)
+        assert code == 0 and json.loads(out)["results"]["checks"]["projector"] < 1e-12
+
+    path = tmp_path / "r.json"
+    run_cli(capsys, "build", "random", "-d", "2", "--kraus", "3", "--seed", "1", "--out", str(path))
+    code, out, _ = run_cli(capsys, "gl", "omega", "--in", str(path), "-p", "2")
+    assert code == 0 and len(json.loads(out)["matrix"]) == 4
+
+    # A channel's own Kraus list is not its conjugate: the check exits 3.
+    code, out, err = run_cli(capsys, "conjugate", "--in", str(path), "--check-against", str(path))
+    assert code == 3 and json.loads(out)["d_out"] == 3
+    assert "check output vs reference: FAIL" in err
+
+
 def test_unwritable_output_is_an_io_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "build", "identity", "-d", "2", "--out", str(tmp_path))
     assert (code, out) == (4, "")

@@ -264,16 +264,27 @@ def test_find_relating_isometry_eigensolves_only_the_smaller_system(monkeypatch)
     assert sizes and max(sizes) <= 25
 
 
-def test_find_relating_isometry_with_a_degenerate_intertwiner():
+def test_find_relating_isometry_with_a_degenerate_intertwiner(monkeypatch):
     # The completely dephasing channel is its own conjugate, and every
     # diagonal matrix commutes with its outputs: the intertwiner's null space
-    # has dimension 4, and a single null vector is often singular.
+    # has dimension 4, and a single null vector is often singular.  One of
+    # the conjugate's Kraus operators is split into two halves of weight
+    # 1/sqrt(2), so that 5 operators face 4 and the index-matched candidate
+    # does not apply: the relation must come from the intertwiner.
     ch = KrausChannel.from_operators([np.diag(np.eye(4)[i]) for i in range(4)])
     c = conj.conjugate_kraus(ch)
+    half = c.kraus[:1] / np.sqrt(2)
+    split = KrausChannel(d_in=4, d_out=4, kraus=np.concatenate([half, half, c.kraus[1:]]))
+    calls = []
+    intertwiner = conj._intertwiner_candidate
+    monkeypatch.setattr(
+        conj, "_intertwiner_candidate", lambda a, b: calls.append(1) or intertwiner(a, b)
+    )
     for s in range(20):
-        c2 = mixed_and_rotated(c, rng_from_seed(s))
+        c2 = mixed_and_rotated(split, rng_from_seed(s))
         rel = conj.find_relating_isometry(c2, c)
         assert rel.residual < 1e-8 and rel.rank == 4, s
+        assert len(calls) == s + 1
 
 
 def test_find_relating_isometry_refuses_oversized_systems():

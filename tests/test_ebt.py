@@ -133,6 +133,14 @@ def test_is_hadamard_form_verdict_follows_the_singular_value_ratio():
         assert (det.frame is None) == (verdict != "yes")
 
 
+def test_is_hadamard_form_refuses_outputs_beyond_the_size_cap():
+    # The Gram matrix is d_out x d_out: d_out = MAX_DIM^2 = 1024 passes.
+    ch = chn.KrausChannel.from_operators([np.eye(1024, 1)])
+    assert eb.is_hadamard_form(ch).gram.shape == (1024, 1024)
+    with pytest.raises(ValueError, match="d_out = 1025 exceeds the supported size"):
+        eb.is_hadamard_form(chn.KrausChannel.from_operators([np.eye(1025, 1)]))
+
+
 def test_double_conjugation_returns_ebt():
     rng = rng_from_seed(8)
     for _ in range(4):

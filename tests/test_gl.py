@@ -6,7 +6,7 @@ import pytest
 from qcc import gl
 from qcc.channel import KrausChannel
 from qcc.conjugate import conjugate_kraus
-from qcc.linalg import dagger, kron
+from qcc.linalg import dagger
 from qcc.random import haar_state, haar_unitary, random_density, random_kraus_operators, rng_from_seed
 
 
@@ -23,7 +23,7 @@ def theta_reference(ch, p):
     for ks in itertools.product(range(ch.n_kraus), repeat=p):
         term = pairs[ks[0], ks[1 % p]]
         for i in range(1, p):
-            term = kron(term, pairs[ks[i], ks[(i + 1) % p]])
+            term = np.kron(term, pairs[ks[i], ks[(i + 1) % p]])
         out += term
     return out
 

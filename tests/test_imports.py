@@ -117,34 +117,17 @@ def test_verify_suite_loads_only_its_modules(tmp_path):
     assert not loaded & {"pauli", "ebt", "purity"}
 
 
-def test_every_export_is_its_module_attribute():
-    assert len(qcc.__all__) == 71 == len(set(qcc.__all__))
-    for name in qcc.__all__:
-        obj = getattr(qcc, name)
-        module = sys.modules[obj.__module__]
-        assert module.__name__.startswith("qcc.")
-        assert getattr(module, name) is obj, name
-    assert set(qcc.__all__) <= set(dir(qcc))
-
-
-def test_star_import_binds_every_export(tmp_path):
-    code = (
-        "from qcc import *\nimport qcc\n"
-        "missing = [n for n in qcc.__all__ if n not in globals()]\n"
-        "assert not missing, missing"
-    )
-    loaded = loaded_after(code, tmp_path)
-    assert {"channel", "conjugate", "ebt", "gl", "linalg", "pauli", "purity"} <= loaded
-
-
 def test_submodules_resolve_as_attributes(tmp_path):
-    code = "import qcc\nassert qcc.pauli.MAX_DIM == 32\nassert qcc.KrausChannel is qcc.channel.KrausChannel"
+    code = "import qcc\nassert qcc.pauli.MAX_DIM == 32"
     assert "pauli" in loaded_after(code, tmp_path)
 
 
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         qcc.no_such_name
+    # Objects are named by their submodule only, even once it is loaded.
+    with pytest.raises(AttributeError, match="KrausChannel"):
+        qcc.KrausChannel
     with pytest.raises(ImportError):
         from qcc import no_such_name
 

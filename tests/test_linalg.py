@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qcc.linalg import (
     hadamard_product,
-    kron,
     majorizes,
     nonzero_spectrum,
     partial_trace,
@@ -39,7 +38,7 @@ def test_partial_trace_product_state():
     rng = rng_from_seed(0)
     rho_a = random_density(2, rng)
     rho_b = random_density(3, rng)
-    got = partial_trace(kron(rho_a, rho_b), (2, 3), "A")
+    got = partial_trace(np.kron(rho_a, rho_b), (2, 3), "A")
     assert np.abs(got - rho_a).max() < 1e-14
 
 
@@ -63,17 +62,6 @@ def test_partial_trace_matches_index_sum_oracle():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(5), (2, 3), "A")
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-    rng = rng_from_seed(2)
-    a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    assert np.abs(lhs - rhs).max() < 1e-13
-    scalar = np.array([[2.5 - 1j]])
-    assert np.abs(kron(scalar, a) - (2.5 - 1j) * a).max() < 1e-15
 
 
 def test_hadamard_product():

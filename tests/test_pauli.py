@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qcc import channel as chn
 from qcc import pauli as pm
 from qcc.conjugate import conjugate_kraus
-from qcc.linalg import dagger, frobenius, kron, schatten_norm
+from qcc.linalg import dagger, frobenius, schatten_norm
 from qcc.purity import OptimizerOptions, nu_p
 from qcc.random import haar_state, random_density, rng_from_seed
 
@@ -234,8 +234,26 @@ def test_find_u_t_and_recovery():
         assert frobenius(u @ dagger(u) - np.eye(d * d)) < 1e-12
         rho = random_density(d, rng)
         gamma = pm.noisy_conjugate_image(b, rho)
-        assert frobenius(gamma - u @ kron(np.eye(d), rho) @ dagger(u) / d) < 1e-12
+        assert frobenius(gamma - u @ np.kron(np.eye(d), rho) @ dagger(u) / d) < 1e-12
         assert np.abs(pm.recover_state(b, gamma) - rho).max() < 1e-12
+
+
+def test_recover_state_builds_and_checks_u_once_per_basis(monkeypatch):
+    # U is checked on the two canonical states once per basis; samples given
+    # to find_U_T are checked at every call.
+    calls = []
+    image = pm.noisy_conjugate_image
+    monkeypatch.setattr(pm, "noisy_conjugate_image", lambda b, r: calls.append(1) or image(b, r))
+    rng = rng_from_seed(9)
+    b = pm.build_basis(3)
+    rhos = [random_density(3, rng) for _ in range(5)]
+    gammas = [image(b, rho) for rho in rhos]
+    for rho, gamma in zip(rhos, gammas):
+        assert np.abs(pm.recover_state(b, gamma) - rho).max() < 1e-12
+    assert len(calls) == 2
+    u = pm.find_U_T(b, samples=rhos[:3])
+    assert len(calls) == 5 and not u.flags.writeable
+    assert np.array_equal(u, b.ops.reshape(9, 9) / np.sqrt(3))
 
 
 def test_standard_basis_ordering_gives_identity_coefficients():
@@ -249,7 +267,7 @@ def test_standard_basis_ordering_gives_identity_coefficients():
     coeff = units.reshape(d * d, d * d)
     assert np.abs(coeff - np.eye(d * d)).max() == 0.0
     gamma = np.einsum("mab,bc,nac->mn", units, rho, units.conj(), optimize=True) / d
-    assert np.abs(gamma - kron(np.eye(d), rho) / d).max() < 1e-14
+    assert np.abs(gamma - np.kron(np.eye(d), rho) / d).max() < 1e-14
 
 
 def test_bloch_coefficients():

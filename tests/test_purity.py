@@ -9,7 +9,7 @@ from qcc import channel as chn
 from qcc import purity
 from qcc.channel import KrausChannel
 from qcc.conjugate import conjugate_kraus
-from qcc.linalg import pnorm
+from qcc.linalg import dagger, pnorm
 from qcc.pauli import (
     build_basis,
     depolarizing_weights,
@@ -210,7 +210,7 @@ def test_product_kernel_matches_tensor_kernel(shapes):
 
     d = ref.d_out
     xs = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
-    xs = xs + purity._dag(xs)
+    xs = xs + dagger(xs)
     want = np.stack([chn.adjoint_apply(product, x) for x in xs])
     assert np.abs(kern.adjoint(xs[0]) - want[0]).max() < 1e-12
     assert np.abs(kern.adjoint(xs) - want).max() < 1e-12
@@ -267,7 +267,7 @@ def test_gap_product_is_not_rerun_for_a_gain_within_tolerance(monkeypatch):
                 value = reseeded
             state = np.zeros(kern.d_in, dtype=complex)
             state[0] = 1.0
-            return purity.PurityReport(value, state, 2.0, 1, True, 1)
+            return purity.PurityReport(value, state, 1, True, 1)
 
         return run
 
