@@ -477,11 +477,20 @@ def cmd_pauli(args) -> tuple[dict, int]:
 
 
 def _principal_vector(rho: np.ndarray) -> np.ndarray:
+    """The unit vector of a pure state: Hermitian, trace 1 and rank one,
+    each within ``1e-8``."""
     import numpy as np
 
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"state must be a square matrix, got shape {rho.shape}")
+    if np.abs(rho - rho.conj().T).max() > 1e-8:
+        raise ValueError("the explicit formula needs a Hermitian state")
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > 1e-8:
+        raise ValueError(f"the explicit formula needs a state of trace 1, got {trace.real:.6g}")
     w, v = np.linalg.eigh(rho)
-    if w[-1] < 1.0 - 1e-8:
-        raise ValueError("the explicit formula needs a pure state")
+    if np.abs(w[:-1]).max(initial=0.0) > 1e-8:
+        raise ValueError("the explicit formula needs a pure state (rank one)")
     return v[:, -1]
 
 

@@ -201,36 +201,6 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     return float(pnorm(s, p))
 
 
-def von_neumann_entropy(rho: np.ndarray, base: float = 2.0) -> float:
-    """Von Neumann entropy ``-sum_i lam_i log(lam_i)`` with ``0 log 0 = 0``.
-
-    Parameters
-    ----------
-    rho
-        Density matrix: PSD within ``DEFAULT_TOL`` (relative to its largest
-        eigenvalue) and unit trace within ``1e-8``.
-    base
-        Logarithm base; ``2`` gives bits, ``numpy.e`` nats.
-
-    Raises
-    ------
-    ValueError
-        If an eigenvalue is negative beyond tolerance or the trace deviates
-        from one.
-    """
-    rho = np.asarray(rho)
-    w = np.linalg.eigvalsh(rho)
-    scale = max(float(w.max()), 0.0) if w.size else 0.0
-    if w.size and w.min() < -DEFAULT_TOL * max(scale, 1.0):
-        raise ValueError(f"matrix is not PSD: eigenvalue {w.min():.3e}")
-    tr = float(w.sum())
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    w = np.clip(w, 0.0, None)
-    nz = w[w > 0]
-    return float(-(nz * np.log(nz)).sum() / np.log(base))
-
-
 def nonzero_spectrum(m: np.ndarray) -> Spectrum:
     """Eigenvalues of a Hermitian matrix with ``|lam| > DEFAULT_TOL * lam_max``
     kept.

@@ -650,7 +650,10 @@ def classify_product_or_me(
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.d,):
         raise ValueError(f"state must be a vector of length {basis.d}, got shape {psi.shape}")
-    psi = psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if not norm > 0:
+        raise ValueError("state is the zero vector")
+    psi = psi / norm
     gamma = noisy_conjugate_image(basis, np.outer(psi, psi.conj()))
     dec = is_decomposable(gamma, tol)
     d2dec = dec.decomposable and all(len(blk) == d * d for blk in dec.blocks)

@@ -13,13 +13,18 @@ engine and the starts; the public entries and the gap routine all call it.
 On a pure input the optimizer never forms a density matrix.  With the Kraus
 stack ``K`` of shape ``(n, d_out, d_in)`` and ``M = K psi`` of shape
 ``(n, d_out)``, the channel output is ``Phi(psi psi^+) = M^T conj(M)`` and the
-conjugate channel's output is ``M M^+``.  The two Gram matrices share their
-nonzero spectrum (the paper's spectrum law), so every objective is evaluated
-on the smaller one.  The adjoint is ``vec(Phi^+(X)) = S vec(X)``, with the
-``(d_in^2, d_out^2)`` superoperator ``S`` built on first use, so a channel
-with ``d_in d_out > MAX_DIM^2`` is rejected; the gradient ``Phi^+(X) psi =
-K_r^+ vec(M X^T)`` (``K_r`` the stack reshaped to ``(n d_out) x d_in``)
-never forms ``Phi^+(X)``.
+conjugate channel's output is ``M M^+``.  The two share their nonzero
+spectrum (the paper's spectrum law), so a channel and its conjugate have the
+same objectives on the same input space.  Every kernel is therefore built on
+the side with the smaller output (:func:`_flips`): the Kraus-swap conjugate
+when ``n < d_out``, the channel otherwise, and for a product both factors'
+conjugates or neither, by ``n1 n2 < d1_out d2_out``.  The kernel has one
+layout, the output ``M^T conj(M)`` of the channel it is built on.  The
+adjoint is ``vec(Phi^+(X)) = S vec(X)``, with the ``(d_in^2, d_out^2)``
+superoperator ``S`` built on first use, so a kernel with ``d_in d_out >
+MAX_DIM^2`` is rejected: for a single channel, ``d_in min(n, d_out) >
+MAX_DIM^2``.  The gradient ``Phi^+(X) psi = K_r^+ vec(M X^T)`` (``K_r`` the
+stack reshaped to ``(n d_out) x d_in``) never forms ``Phi^+(X)``.
 
 A gap's product run uses the same kernel built from the two factors, never
 from the product's ``(n1 n2, d1_out d2_out, d1_in d2_in)`` Kraus stack.  With
@@ -29,8 +34,8 @@ factors' stacks reshaped to ``(n d_out) x d_in``, the outputs are
 adjoint is ``S_1 X S_2^T`` on the ``(a1 a1', a2 a2')`` regrouping of ``X``,
 each ``S`` a factor's ``(d_in^2, d_out^2)`` adjoint superoperator; and the
 gradient is ``F_r^+ Y conj(G_r)`` on the ``(n1 d1_out, n2 d2_out)``
-regrouping of ``Y = M h(sigma)^T``.  The Gram matrices, their eigenpairs and
-both engines are shared with the single-channel kernel.
+regrouping of ``Y = M h(sigma)^T``.  The outputs' eigenpairs and both
+engines are shared with the single-channel kernel.
 
 For p >= 2 the engine is the fixed-point iteration
 
@@ -134,7 +139,9 @@ class _Kernel:
     """Pure-state kernel of one channel.
 
     Every method takes a stack: a leading axis of restarts (or none) in front
-    of the shapes named below.
+    of the shapes named below.  The kernel is correct for any channel, but
+    the optimizer builds it on the side that :func:`_flips` chooses, where
+    ``d_out <= n``.
     """
 
     def __init__(self, ch: KrausChannel):
@@ -149,8 +156,6 @@ class _Kernel:
         self.n, self.d_out, self.d_in = ch.kraus.shape
         self.rows = ch.kraus.reshape(self.n * self.d_out, self.d_in)
         self.rows_h = self.rows.conj().T
-        #: The conjugate's output ``M M^+`` is the smaller Gram matrix.
-        self.on_env = self.n < self.d_out
 
     @functools.cached_property
     def sup(self) -> np.ndarray:
@@ -162,9 +167,8 @@ class _Kernel:
         return (psi @ self.rows.T).reshape(psi.shape[:-1] + (self.n, self.d_out))
 
     def gram(self, m: np.ndarray) -> np.ndarray:
-        """The smaller of ``M M^+`` and ``M^T conj(M)``; its nonzero
-        eigenvalues are the output's."""
-        return m @ dagger(m) if self.on_env else np.swapaxes(m, -1, -2) @ m.conj()
+        """The output ``sigma = M^T conj(M)``."""
+        return np.swapaxes(m, -1, -2) @ m.conj()
 
     def eigh(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of :meth:`gram`, eigenvalues ascending and clipped at
@@ -173,16 +177,13 @@ class _Kernel:
         return np.maximum(w, 0.0), u
 
     def spectrum(self, psi: np.ndarray) -> np.ndarray:
-        """The ``min(n, d_out)`` largest output eigenvalues, ascending."""
+        """The ``d_out`` output eigenvalues, ascending.  On the side that
+        :func:`_flips` chooses, ``d_out = min(n, d_out)`` of the caller's
+        channel, and they are its whole nonzero spectrum."""
         return self.eigh(self.outputs(psi))[0]
 
     def output_operator(self, m, w, u, hw) -> np.ndarray:
-        """``sum_i hw_i v_i v_i^+`` over the output eigenvectors ``v_i``;
-        ``hw`` must vanish where ``w`` does."""
-        if self.on_env:
-            # Gram eigenpair (w_i, u_i) has output eigenvector M^T conj(u_i) / sqrt(w_i).
-            u = np.swapaxes(m, -1, -2) @ u.conj()
-            hw = hw / np.where(hw > 0, w, 1.0)
+        """``sum_i hw_i u_i u_i^+`` over the output eigenvectors ``u_i``."""
         return (u * hw[..., None, :]) @ dagger(u)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
@@ -193,14 +194,12 @@ class _Kernel:
 
     def pull_back(self, m, u, h) -> np.ndarray:
         """``Phi^+(h(sigma)) psi = K_r^+ vec(M h(sigma)^T)`` for one state, with
-        ``h`` given on the Gram eigenpairs ``u``."""
+        ``h`` given on the output eigenpairs ``u``."""
         return self.rows_h @ self.weighted_outputs(m, u, h).reshape(-1)
 
     def weighted_outputs(self, m, u, h) -> np.ndarray:
-        """``M h(sigma)^T`` for one state, with ``h`` given on the Gram
+        """``M h(sigma)^T`` for one state, with ``h`` given on the output
         eigenpairs ``u``."""
-        if self.on_env:
-            return (u * h) @ (dagger(u) @ m)  # h(M M^+) M = M h(sigma)^T
         return ((m @ u.conj()) * h) @ u.T
 
 
@@ -218,7 +217,6 @@ class _ProductKernel(_Kernel):
         self.k1, self.k2 = k1, k2
         self.dims = (k1.n, k1.d_out, k1.d_in, k2.n, k2.d_out, k2.d_in)
         self.n, self.d_out, self.d_in = k1.n * k2.n, k1.d_out * k2.d_out, k1.d_in * k2.d_in
-        self.on_env = self.n < self.d_out
 
     def outputs(self, psi: np.ndarray) -> np.ndarray:
         """``M[(i, j), (a, b)] = (F_i Psi G_j^T)[a, b]``."""
@@ -245,6 +243,22 @@ class _ProductKernel(_Kernel):
         y = self.weighted_outputs(m, u, h).reshape(n1, n2, o1, o2).swapaxes(1, 2)
         g = self.k1.rows_h @ y.reshape(n1 * o1, n2 * o2) @ self.k2.rows_h.T
         return g.reshape(-1)
+
+
+def _flips(*chs: KrausChannel) -> bool:
+    """The side rule: a kernel runs on the conjugate, by the Kraus index
+    swap, when the conjugate's output is the smaller one, ``n < d_out``.
+    The factors of a product flip together, by ``n1 n2 < d1_out d2_out``:
+    flipping one factor alone gives another channel."""
+    return math.prod(c.n_kraus for c in chs) < math.prod(c.d_out for c in chs)
+
+
+def _side_kernel(ch: KrausChannel, flip: bool | None = None) -> _Kernel:
+    """The kernel of ``ch``, or of its conjugate if ``flip`` (by default,
+    if :func:`_flips` says so for ``ch`` alone)."""
+    if flip is None:
+        flip = _flips(ch)
+    return _Kernel(conjugate_kraus(ch) if flip else ch)
 
 
 def _support_power(w: np.ndarray, q: float) -> np.ndarray:
@@ -371,7 +385,8 @@ def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> 
     """The optimizer's one entry: maximize ``||sigma||_p`` (``p >= 1``) or,
     for ``p = None``, ``-S(sigma)`` in nats, from ``initial_states`` and
     ``opts.restarts`` Haar states; the fixed point runs for p >= 2, gradient
-    ascent otherwise.  Reports the best final state, the first on ties."""
+    ascent otherwise.  Reports the best final state, the first on ties; its
+    value is cut off at the objective's exact maximum, ``1`` or ``0``."""
     if p is not None and not p >= 1:
         raise ValueError(f"p must be at least 1, got {p}")
     seeded = [np.asarray(s, dtype=complex) for s in initial_states]
@@ -388,7 +403,8 @@ def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> 
     vals = -_entropy_nat(w) if p is None else pnorm(w, p)
     best = int(np.argmax(vals))
     return PurityReport(
-        value=float(vals[best]),
+        # nu_p <= 1 and -S <= 0: rounding past the exact range is cut off.
+        value=min(float(vals[best]), 1.0 if p is not None else 0.0),
         optimizer_state=psi[best].copy(),
         restarts=len(psi0),
         converged=bool(conv[best]),
@@ -399,7 +415,7 @@ def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> 
 def _entropy_in_base(rep: PurityReport, base: float) -> PurityReport:
     """An entropy report of :func:`_multistart` (``-S`` in nats) as ``S`` in
     the given log base."""
-    return replace(rep, value=-rep.value / math.log(base))
+    return replace(rep, value=-rep.value / math.log(base) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 def nu_p(
@@ -418,7 +434,7 @@ def nu_p(
     """
     if p is None:  # only the private path reads None, as the entropy
         raise ValueError("nu_p requires a number p >= 1, got None")
-    return _multistart(_Kernel(ch), p, opts, initial_states)
+    return _multistart(_side_kernel(ch), p, opts, initial_states)
 
 
 def s_min(
@@ -431,7 +447,7 @@ def s_min(
 
     A certified upper bound achieved by ``optimizer_state``.
     """
-    return _entropy_in_base(_multistart(_Kernel(ch), None, opts, initial_states), base)
+    return _entropy_in_base(_multistart(_side_kernel(ch), None, opts, initial_states), base)
 
 
 def spectrum_pair_check(ch: KrausChannel, psi: np.ndarray) -> tuple[Spectrum, Spectrum, float]:
@@ -477,10 +493,14 @@ def _gap_reports(ch1: KrausChannel, ch2: KrausChannel, p, opts: OptimizerOptions
         # A gain within the optimizer's tolerance is rounding, not a new optimum.
         return new.value - old.value > opts.tol * abs(old.value)
 
-    k1, k2 = _Kernel(ch1), _Kernel(ch2)
+    k1, k2 = _side_kernel(ch1), _side_kernel(ch2)
     r1 = _multistart(k1, p, opts)
     r2 = _multistart(k2, p, opts)
-    product = _ProductKernel(k1, k2)
+    # The factors take the product's side; a single kernel already there is reused.
+    flip = _flips(ch1, ch2)
+    f1 = k1 if _flips(ch1) == flip else _side_kernel(ch1, flip)
+    f2 = k2 if _flips(ch2) == flip else _side_kernel(ch2, flip)
+    product = _ProductKernel(f1, f2)
     start = np.kron(r1.optimizer_state, r2.optimizer_state)
     r12 = _multistart(product, p, opts, initial_states=[start])
     u, _, vh = np.linalg.svd(r12.optimizer_state.reshape(ch1.d_in, ch2.d_in))
@@ -540,14 +560,15 @@ def sampled_nu_p(
     opts: OptimizerOptions = DEFAULT_OPTS,
 ) -> float:
     """Independent cross-check of :func:`nu_p`: exhaustive random sampling of
-    pure states followed by a local polish from the best sample."""
+    pure states followed by a local polish from the best sample, cut off at
+    1 as :func:`nu_p` is."""
     d = ch.d_in
     batch = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d))
     batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-    kern = _Kernel(ch)
+    kern = _side_kernel(ch)
     # Eigenvalues only: the samples need no eigenvectors.
     w = np.clip(np.linalg.eigvalsh(kern.gram(kern.outputs(batch))), 0.0, None)
     vals = pnorm(w, p)
     best = int(np.argmax(vals))
     rep = _multistart(kern, p, replace(opts, restarts=0), initial_states=[batch[best]])
-    return max(float(vals[best]), rep.value)
+    return min(max(float(vals[best]), rep.value), 1.0)

@@ -607,15 +607,41 @@ def test_sizes_beyond_the_cap_are_rejected(capsys, tmp_path):
 
 
 def test_optimizer_commands_reject_channels_beyond_the_size_cap(capsys, tmp_path):
-    # One Kraus operator from C^2 into C^600: d_in d_out = 1200 > MAX_DIM^2.
-    path = tmp_path / "wide.json"
-    ch = KrausChannel.from_operators([np.eye(600, 2)])
+    # d_in = d_out = n = 33: d_in * min(n, d_out) = 1089 > MAX_DIM^2 on either side.
+    path = tmp_path / "big.json"
+    kraus = random_kraus_operators(33, 33, 33, rng_from_seed(3))
+    ch = KrausChannel(d_in=33, d_out=33, kraus=kraus)
     path.write_text(ser.dumps(ser.channel_to_obj(ch)))
     for argv in (["nu", "--in", str(path), "-p", "2"], ["smin", "--in", str(path)]):
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--restarts", "1")
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "exceeds the optimizer's supported size" in err
         assert len(err.strip().splitlines()) == 1
+
+    # One Kraus operator from C^2 into C^600: d_in d_out = 1200, but the
+    # optimizer runs on the conjugate, whose output is one-dimensional.
+    path = tmp_path / "wide.json"
+    path.write_text(ser.dumps(ser.channel_to_obj(KrausChannel.from_operators([np.eye(600, 2)]))))
+    for argv, value in ((["nu", "-p", "2"], 1), (["smin"], 0)):
+        code, out, _ = run_cli(capsys, *argv, "--in", str(path), "--restarts", "1")
+        assert code == 0 and json.loads(out)["results"]["value"] == value
+
+
+def test_optimizer_values_print_in_their_exact_range(capsys, tmp_path):
+    # On the identity the optimum sits on the bound nu_p = 1, S_min = 0, where
+    # rounding printed 1.0000000000000009, -6.4e-16 and -0.
+    path = tmp_path / "id.json"
+    path.write_text(ser.dumps(ser.channel_to_obj(chn.identity_channel(2))))
+    for restarts in ("2", "32"):
+        code, out, _ = run_cli(capsys, "smin", "--in", str(path), "--restarts", restarts)
+        assert code == 0 and '"value": 0,' in out
+        for p in ("1.5", "2", "inf"):
+            code, out, _ = run_cli(capsys, "nu", "--in", str(path), "-p", p, "--restarts", restarts)
+            assert code == 0 and '"value": 1,' in out
+    code, out, _ = run_cli(capsys, "mult", "--a", str(path), "--b", str(path), "-p", "2")
+    results = json.loads(out)["results"]
+    assert code == 0 and (results["lhs"], results["rhs"], results["gap"]) == (1, 1, 0)
+    assert '"gap": 0,' in out
 
 
 def test_choi_forming_commands_refuse_channels_beyond_the_size_cap(capsys, tmp_path):
@@ -668,6 +694,30 @@ def test_state_files_of_the_wrong_kind_name_what_was_expected(capsys, tmp_path, 
     code, out, err = run_cli(capsys, *argv, "--state", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def test_pauli_classify_refuses_the_zero_vector(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps([[0, 0]] * 4))
+    code, out, err = run_cli(capsys, "pauli", "classify", "-d", "2", "--state", str(path))
+    assert (code, out, err) == (2, "", "error: state is the zero vector\n")
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "needs a state of trace 1, got 2"),
+        ([[[1, 0], [1, 0]], [[0, 0], [0, 0]]], "needs a Hermitian state"),
+        ([[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]], "needs a pure state (rank one)"),
+    ],
+    ids=["identity", "non-hermitian", "trace-one-not-rank-one"],
+)
+def test_pauli_ncimage_explicit_refuses_what_is_not_a_pure_state(capsys, tmp_path, state, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, out, err = run_cli(capsys, "pauli", "ncimage", "-d", "2", "--explicit", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: the explicit formula {message}\n"
 
 
 def _pauli_obj(d, basis, n_weights=None):

@@ -11,7 +11,6 @@ from qcc.linalg import (
     nonzero_spectrum,
     partial_trace,
     schatten_norm,
-    von_neumann_entropy,
 )
 from qcc.random import haar_state, random_density, rng_from_seed
 
@@ -106,25 +105,6 @@ def test_schatten_norm_large_p_does_not_underflow():
 def test_schatten_norm_rejects_small_p():
     with pytest.raises(ValueError):
         schatten_norm(np.eye(2), 0.5)
-
-
-def test_von_neumann_entropy_values():
-    psi = haar_state(4, rng_from_seed(5))
-    assert abs(von_neumann_entropy(np.outer(psi, psi.conj()))) < 1e-10
-    for d in (2, 3, 4):
-        assert abs(von_neumann_entropy(np.eye(d) / d) - math.log2(d)) < 1e-12
-        assert abs(von_neumann_entropy(np.eye(d) / d, base=math.e) - math.log(d)) < 1e-12
-    # binary entropy of (3/4, 1/4) in bits, evaluated directly
-    expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-    assert abs(von_neumann_entropy(np.diag([0.75, 0.25])) - expected) < 1e-14
-    assert abs(expected - 0.8112781244591328) < 1e-15
-
-
-def test_von_neumann_entropy_rejects_bad_states():
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.diag([1.2, -0.2]))
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.eye(2))  # trace 2
 
 
 def test_nonzero_spectrum_cutoff():

@@ -137,7 +137,7 @@ def test_nu_p_large_p_does_not_underflow():
 
 
 #: (d_in, d_out, n): fewer Kraus operators than output dimensions (the
-#: conjugate's Gram matrix is the smaller), more, and d_in != d_out.
+#: side rule flips these), more, and d_in != d_out.
 KERNEL_SHAPES = [(3, 4, 2), (2, 2, 5), (4, 3, 3), (3, 5, 1)]
 
 
@@ -152,14 +152,14 @@ def test_kernel_matches_density_matrix_channel(shape):
     m = kern.outputs(psi)
     assert np.abs(m.T @ m.conj() - sigma).max() < 1e-14
 
-    # The smaller Gram matrix carries the whole nonzero output spectrum.
+    # The raw kernel carries the whole d_out output spectrum.
     w, u = kern.eigh(m)
-    full = np.sort(np.linalg.eigvalsh(sigma))[-min(n, d_out):]
-    assert np.abs(w - full).max() < 1e-14
+    full = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
+    assert len(w) == d_out and np.abs(w - full).max() < 1e-14
     assert abs(w.sum() - 1.0) < 1e-13
     assert np.abs(kern.spectrum(psi) - w).max() == 0.0
 
-    # Output eigenvectors from either Gram matrix rebuild sigma.
+    # The output eigenvectors rebuild sigma.
     assert np.abs(kern.output_operator(m, w, u, w) - sigma).max() < 1e-13
 
     x = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
@@ -180,7 +180,7 @@ def test_kernel_matches_density_matrix_channel(shape):
 
 #: Factor shapes for the product kernel: each factor has n < d_out in one
 #: pair and n > d_out in another, d_in != d_out, or one Kraus operator, and
-#: the products' Gram matrices fall on both sides (on_env True and False).
+#: the products fall on both sides of the side rule.
 PRODUCT_SHAPES = [
     ((3, 4, 2), (2, 2, 5)),
     ((2, 2, 5), (4, 3, 3)),
@@ -191,8 +191,19 @@ PRODUCT_SHAPES = [
 
 
 def test_product_shapes_cover_both_gram_matrices():
-    on_env = {n1 * n2 < o1 * o2 for (_, o1, n1), (_, o2, n2) in PRODUCT_SHAPES}
-    assert on_env == {True, False}
+    # (product flips, first factor flips alone, second factor flips alone)
+    sides = set()
+    rng = rng_from_seed(23)
+    for shapes in PRODUCT_SHAPES:
+        c1, c2 = random_channel(rng, *shapes[0]), random_channel(rng, *shapes[1])
+        sides.add((purity._flips(c1, c2), purity._flips(c1), purity._flips(c2)))
+    assert {s[0] for s in sides} == {True, False}
+    # A gap builds a factor's kernel anew where its side differs from the
+    # product's, in both directions.
+    assert {(s[0], s[i]) for s in sides for i in (1, 2) if s[0] != s[i]} == {
+        (True, False),
+        (False, True),
+    }
 
 
 @pytest.mark.parametrize("shapes", PRODUCT_SHAPES)
@@ -202,7 +213,7 @@ def test_product_kernel_matches_tensor_kernel(shapes):
     kern = purity._ProductKernel(_Kernel(c1), _Kernel(c2))
     product = chn.tensor(c1, c2)
     ref = _Kernel(product)
-    assert (kern.n, kern.d_out, kern.d_in, kern.on_env) == (ref.n, ref.d_out, ref.d_in, ref.on_env)
+    assert (kern.n, kern.d_out, kern.d_in) == (ref.n, ref.d_out, ref.d_in)
 
     psis = np.stack([haar_state(ref.d_in, rng) for _ in range(4)])
     assert np.abs(kern.outputs(psis) - ref.outputs(psis)).max() < 1e-12
@@ -242,13 +253,103 @@ def test_kernels_build_the_superoperator_once_and_only_for_the_adjoint(monkeypat
 
 
 def test_optimizer_rejects_channels_beyond_the_size_cap():
-    # One Kraus operator, an isometry from C^2 into C^600: d_in d_out = 1200.
-    ch = KrausChannel.from_operators([np.eye(600, 2)])
+    # n = d_out = d_in = 33: d_in * min(n, d_out) = 1089 on either side.
+    ch = random_channel(rng_from_seed(29), 33, 33, 33)
     for run in (lambda: nu_p(ch, 2, FAST), lambda: s_min(ch, FAST)):
         with pytest.raises(ValueError, match="exceeds the optimizer's supported size"):
             run()
     # At the cap itself the kernel builds.
     assert _Kernel(KrausChannel.from_operators([np.eye(512, 2)])).d_out == 512
+    # One Kraus operator, an isometry from C^2 into C^600: d_in d_out = 1200,
+    # but the optimizer runs on its conjugate, d_in * n = 2.
+    iso = KrausChannel.from_operators([np.eye(600, 2)])
+    assert nu_p(iso, 2, FAST).value == 1.0
+    assert s_min(iso, FAST).value == 0.0
+
+
+def test_optimizer_entries_run_on_the_smaller_side_only(monkeypatch):
+    ran, built = [], []
+    real_run, real_init = purity._multistart, _Kernel.__init__
+    monkeypatch.setattr(
+        purity, "_multistart", lambda k, *a, **kw: ran.append(k) or real_run(k, *a, **kw)
+    )
+    monkeypatch.setattr(_Kernel, "__init__", lambda k, ch: built.append(k) or real_init(k, ch))
+    rng = rng_from_seed(30)
+    # n < d_out, n > d_out, and one Kraus operator.  In the gaps, c1 takes
+    # the raw side in its product with c2, and c2 the flipped one with c3.
+    c1, c2, c3 = (random_channel(rng, *s) for s in ((2, 3, 2), (2, 2, 3), (3, 5, 1)))
+    runs = [
+        lambda: nu_p(c1, 2, FAST),
+        lambda: nu_p(c3, 1.5, FAST),
+        lambda: s_min(c1, FAST),
+        lambda: sampled_nu_p(c3, 2, 100, rng, FAST),
+    ]
+    for a, b in ((c1, c2), (c2, c3), (c3, c3)):
+        runs.append(lambda a=a, b=b: multiplicativity_gap(a, b, 2, FAST))
+        runs.append(lambda a=a, b=b: additivity_gap_entropy(a, b, FAST))
+    for run in runs:
+        ran.clear()
+        run()
+        # Only the kernels that run obey the rule: a product's factor may not.
+        assert ran and all(k.n >= k.d_out for k in ran)
+    # A single kernel on the product's side is the product's factor: c1 and
+    # c3 flip alone and together, so the gap builds two kernels, not four.
+    ran.clear()
+    built.clear()
+    multiplicativity_gap(c1, c3, 2, FAST)
+    product = next(k for k in ran if isinstance(k, purity._ProductKernel))
+    assert (product.k1, product.k2) == (ran[0], ran[1])
+    assert len(built) == 2
+
+
+#: (d_in, d_out, n) with n < d_out, run on the flipped and the raw side.
+FLIPPED_SHAPES = [(2, 3, 2), (3, 5, 1), (3, 4, 2), (4, 6, 3)]
+
+
+def test_flipped_and_raw_sides_agree():
+    rng = rng_from_seed(31)
+    opts = OptimizerOptions(restarts=8, tol=1e-13, seed=1)
+    ref_opts = replace(opts, restarts=64)
+    kernels = []
+    for shape in FLIPPED_SHAPES:
+        ch = random_channel(rng, *shape)
+        kernels.append((_Kernel(ch), _Kernel(conjugate_kraus(ch))))
+    # A product that flips: n1 n2 = 2 < d1_out d2_out = 6.
+    c1, c2 = random_channel(rng, 2, 3, 1), random_channel(rng, 2, 2, 2)
+    assert purity._flips(c1, c2)
+    raw = purity._ProductKernel(_Kernel(c1), _Kernel(c2))
+    flipped = purity._ProductKernel(_Kernel(conjugate_kraus(c1)), _Kernel(conjugate_kraus(c2)))
+    kernels.append((raw, flipped))
+    for raw, flipped in kernels:
+        # The gradient engine takes the same steps on either side.
+        for p in (1.5, None):
+            a = purity._multistart(raw, p, opts).value
+            b = purity._multistart(flipped, p, opts).value
+            assert abs(a - b) < 1e-10
+        # The fixed point takes other paths: both reach the optimum.
+        for p in (2, 3, math.inf):
+            ref = purity._multistart(flipped, p, ref_opts).value
+            for kern in (raw, flipped):
+                assert abs(purity._multistart(kern, p, opts).value - ref) < 1e-8
+
+
+def test_values_stay_in_their_exact_range():
+    # nu_p <= 1 and S_min >= 0 hold exactly; on the identity and a unitary
+    # channel the optimum sits on the bound, where rounding used to cross it.
+    unitary = KrausChannel.from_operators([haar_unitary(3, rng_from_seed(32))])
+    for ch in (chn.identity_channel(2), chn.identity_channel(3), unitary):
+        for opts in (FAST, OptimizerOptions(restarts=2)):
+            for p in (1.5, 2, math.inf):
+                assert nu_p(ch, p, opts).value == 1.0
+                assert sampled_nu_p(ch, p, 100, rng_from_seed(33), opts) == 1.0
+            for base in (2.0, math.e):
+                value = s_min(ch, opts, base=base).value
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        g = multiplicativity_gap(ch, ch, 2, FAST)
+        assert (g.lhs, g.rhs, g.gap) == (1.0, 1.0, 0.0)
+        g = additivity_gap_entropy(ch, ch, FAST)
+        assert (g.lhs, g.rhs, g.gap) == (0.0, 0.0, 0.0)
+        assert math.copysign(1.0, g.gap) == 1.0
 
 
 def test_gap_product_is_not_rerun_for_a_gain_within_tolerance(monkeypatch):
@@ -469,13 +570,16 @@ def test_s_min_closed_cases():
 
 
 def test_nu_p_and_s_min_agree_with_conjugate():
+    # The side rule would run cc on ch's own stack, so cc runs on its raw
+    # kernel, the side with the larger output.
     rng = rng_from_seed(5)
     for _ in range(3):
         ch = random_channel(rng, 2, 2, 3)
-        cc = conjugate_kraus(ch)
+        raw = _Kernel(conjugate_kraus(ch))
         for p in (1.5, 2, math.inf):
-            assert abs(nu_p(ch, p, OPTS).value - nu_p(cc, p, OPTS).value) < 1e-8
-        assert abs(s_min(ch, OPTS).value - s_min(cc, OPTS).value) < 1e-8
+            assert abs(nu_p(ch, p, OPTS).value - purity._multistart(raw, p, OPTS).value) < 1e-8
+        s_raw = purity._entropy_in_base(purity._multistart(raw, None, OPTS), 2.0).value
+        assert abs(s_min(ch, OPTS).value - s_raw) < 1e-8
 
 
 def test_spectrum_pair_check_cases():
