@@ -18,13 +18,14 @@ spectrum (the paper's spectrum law), so a channel and its conjugate have the
 same objectives on the same input space.  Every kernel is therefore built on
 the side with the smaller output (:func:`_flips`): the Kraus-swap conjugate
 when ``n < d_out``, the channel otherwise, and for a product both factors'
-conjugates or neither, by ``n1 n2 < d1_out d2_out``.  The kernel has one
-layout, the output ``M^T conj(M)`` of the channel it is built on.  The
-adjoint is ``vec(Phi^+(X)) = S vec(X)``, with the ``(d_in^2, d_out^2)``
-superoperator ``S`` built on first use, so a kernel with ``d_in d_out >
-MAX_DIM^2`` is rejected: for a single channel, ``d_in min(n, d_out) >
-MAX_DIM^2``.  The gradient ``Phi^+(X) psi = K_r^+ vec(M X^T)`` (``K_r`` the
-stack reshaped to ``(n d_out) x d_in``) never forms ``Phi^+(X)``.
+conjugates or neither, by ``n1 n2 < d1_out d2_out`` when each flipped
+factor fits the cap.  The kernel has one layout, the output
+``M^T conj(M)`` of the channel it is built on.  The adjoint is
+``vec(Phi^+(X)) = S vec(X)``, with the ``(d_in^2, d_out^2)`` superoperator
+``S`` built on first use, so a kernel with ``d_in d_out > MAX_DIM^2`` is
+rejected: for a single channel, ``d_in min(n, d_out) > MAX_DIM^2``.  The
+gradient ``Phi^+(X) psi = K_r^+ vec(M X^T)`` (``K_r`` the stack reshaped to
+``(n d_out) x d_in``) never forms ``Phi^+(X)``.
 
 A gap's product run uses the same kernel built from the two factors, never
 from the product's ``(n1 n2, d1_out d2_out, d1_in d2_in)`` Kraus stack.  With
@@ -42,9 +43,13 @@ For p >= 2 the engine is the fixed-point iteration
     psi  <-  principal eigenvector of  Phi^+( Phi(psi psi^+)^(p-1) ),
 
 the natural power-iteration analogue, which ascends ``Tr Phi(rho)^p``.
-``p = inf`` takes the limit of the power, the projector on the top output
-eigenvector.  All restarts of the fixed point run together as one stack; a
-restart leaves the stack once it meets its stopping rule.
+At p = 2 and 3, ``sigma^(p-1)`` is ``p - 2`` matrix products of the Gram
+matrix and ``Tr sigma^p`` an entrywise sum, so a step makes one
+eigendecomposition, of the input operator.  Any other p takes the output
+eigenpairs and the power relative to ``lambda_max``; ``p = inf`` takes the
+limit of the power, the projector on the top output eigenvector.  All
+restarts of the fixed point run together as one stack; a restart leaves
+the stack once it meets its stopping rule.
 
 A run's starts are its ``initial_states`` followed by ``restarts`` Haar
 states, restart ``r`` drawn from ``derived_rng(seed, r)``.  Those depend only
@@ -249,8 +254,13 @@ def _flips(*chs: KrausChannel) -> bool:
     """The side rule: a kernel runs on the conjugate, by the Kraus index
     swap, when the conjugate's output is the smaller one, ``n < d_out``.
     The factors of a product flip together, by ``n1 n2 < d1_out d2_out``:
-    flipping one factor alone gives another channel."""
-    return math.prod(c.n_kraus for c in chs) < math.prod(c.d_out for c in chs)
+    flipping one factor alone gives another channel.  They flip only if
+    each factor's flipped kernel fits, ``d_in n <= MAX_DIM^2``, since a
+    factor with ``n > d_out`` grows when flipped.  For one channel that
+    changes nothing but the refusal of an input too large on both sides,
+    which then names the caller's ``d_in * d_out``."""
+    fits = all(c.d_in * c.n_kraus <= MAX_DIM**2 for c in chs)
+    return fits and math.prod(c.n_kraus for c in chs) < math.prod(c.d_out for c in chs)
 
 
 def _side_kernel(ch: KrausChannel, flip: bool | None = None) -> _Kernel:
@@ -274,13 +284,34 @@ def _entropy_nat(w: np.ndarray) -> np.ndarray:
     return -(w * np.log(np.where(w > 0, w, 1.0))).sum(axis=-1)
 
 
+def _ascent_operator(kern: _Kernel, m: np.ndarray, p: float):
+    """The fixed point's output operator ``X``, a positive multiple of
+    ``sigma^(p-1)``, and its objective ``log ||sigma||_p``, for the outputs
+    ``m`` of a state stack.
+
+    At p = 2 and 3, ``X = sigma^(p-1)`` is built by ``p - 2`` matrix
+    products and ``Tr sigma^p`` is the entrywise sum
+    ``Re sum conj(sigma) X``, with no eigendecomposition.  Any other p takes
+    the output eigenpairs, with the power relative to ``lambda_max``, which
+    leaves the principal eigenvector of ``Phi^+(X)`` unchanged and keeps it
+    from underflowing at large p.
+    """
+    if p in (2, 3):
+        sigma = kern.gram(m)
+        x = sigma if p == 2 else sigma @ sigma
+        return x, np.log(np.einsum("...ij,...ij->...", sigma.conj(), x).real) / p
+    w, u = kern.eigh(m)
+    hw = _support_power(w / w[..., -1:], p - 1)
+    return kern.output_operator(m, w, u, hw), np.log(pnorm(w, p))
+
+
 def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter: int):
     """Fixed-point ascent of ``Tr sigma^p`` (``lambda_max`` at p = inf) from
-    every row of ``psi`` at once.
+    every row of ``psi`` at once: each step takes the principal eigenvector
+    of ``Phi^+(X)``, ``X`` from :func:`_ascent_operator`.
 
     A restart stops when the relative change of ``Tr sigma^p`` falls to
-    ``tol``.  The power is taken relative to ``lambda_max``, which leaves
-    the principal eigenvector unchanged and keeps it from underflowing.
+    ``tol``.
     """
     # Tr sigma^p changes by the p-th power of the ratio of the norms.
     exponent = 1.0 if math.isinf(p) else p
@@ -288,16 +319,11 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter:
     iters = np.full(len(psi), max_iter)
     conv = np.zeros(len(psi), dtype=bool)
     live = np.arange(len(psi))
-    m = kern.outputs(psi)
-    w, u = kern.eigh(m)
-    obj = np.log(pnorm(w, p))
+    x, obj = _ascent_operator(kern, kern.outputs(psi), p)
     for it in range(1, max_iter + 1):
-        hw = _support_power(w / w[..., -1:], p - 1)
-        step = np.linalg.eigh(kern.adjoint(kern.output_operator(m, w, u, hw)))[1][..., -1]
+        step = np.linalg.eigh(kern.adjoint(x))[1][..., -1]
         psi[live] = step
-        m = kern.outputs(step)
-        w, u = kern.eigh(m)
-        new = np.log(pnorm(w, p))
+        x, new = _ascent_operator(kern, kern.outputs(step), p)
         # A change too large for a double overflows to inf, which is not done.
         with np.errstate(over="ignore"):
             done = np.abs(np.expm1(exponent * (obj - new))) <= tol
@@ -305,7 +331,7 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter:
             iters[live[done]] = it
             conv[live[done]] = True
             keep = ~done
-            live, m, w, u, new = live[keep], m[keep], w[keep], u[keep], new[keep]
+            live, x, new = live[keep], x[keep], new[keep]
             if not live.size:
                 break
         obj = new

@@ -267,6 +267,60 @@ def test_optimizer_rejects_channels_beyond_the_size_cap():
     assert s_min(iso, FAST).value == 0.0
 
 
+def test_gap_factors_flip_only_where_their_flipped_kernels_fit():
+    # d_in * n = 1056 flipped, d_in * d_out = 64 raw.  Its product with an
+    # isometry C^2 -> C^17 has n1 n2 = 33 < 34 = d1_out d2_out, but flipping
+    # would push this factor past the cap, so both factors run raw.
+    big = random_channel(rng_from_seed(33), 32, 2, 33)
+    iso = KrausChannel.from_operators([np.eye(17, 2)])
+    assert not purity._flips(big, iso) and purity._flips(iso)
+    g = multiplicativity_gap(big, iso, 2, OptimizerOptions(restarts=2))
+    assert abs(g.gap) < 1e-9 and g.report_2.value == 1.0
+    # Into C^513 the isometry is past the cap raw (1026) and the factor
+    # above is past it flipped (1056): the refusal names the isometry's own
+    # dimensions.
+    iso = KrausChannel.from_operators([np.eye(513, 2)])
+    with pytest.raises(ValueError, match=r"d_in \* d_out = 1026 exceeds"):
+        multiplicativity_gap(big, iso, 2, OptimizerOptions(restarts=2))
+
+
+def _kernels(rng):
+    """A kernel of each of ``KERNEL_SHAPES`` and a product kernel of each of
+    ``PRODUCT_SHAPES``."""
+    for shape in KERNEL_SHAPES:
+        yield _Kernel(random_channel(rng, *shape))
+    for s1, s2 in PRODUCT_SHAPES:
+        k1, k2 = _Kernel(random_channel(rng, *s1)), _Kernel(random_channel(rng, *s2))
+        yield purity._ProductKernel(k1, k2)
+
+
+def test_fixed_point_skips_the_output_eigendecomposition_at_p_2_and_3(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    rng = rng_from_seed(34)
+    for kern in _kernels(rng):
+        psi0 = np.stack([haar_state(kern.d_in, rng) for _ in range(3)])
+        # (p, eigh calls per iteration, calls before the first)
+        for p, per_iteration, first in ((2, 1, 0), (3, 1, 0), (2.5, 2, 1), (math.inf, 2, 1)):
+            calls.clear()
+            # The loop runs until its last restart stops: iters.max() times.
+            iters = purity._fixed_point(kern, psi0, p, 1e-12, 2000)[1]
+            assert len(calls) == per_iteration * iters.max() + first
+
+
+def test_fixed_point_polynomial_route_matches_the_spectrum():
+    rng = rng_from_seed(35)
+    for kern in _kernels(rng):
+        psis = np.stack([haar_state(kern.d_in, rng) for _ in range(4)])
+        m = kern.outputs(psis)
+        w, u = kern.eigh(m)
+        for p in (2, 3):
+            x, obj = purity._ascent_operator(kern, m, p)
+            assert np.abs(obj - np.log(pnorm(w, p))).max() < 1e-14
+            assert np.abs(x - kern.output_operator(m, w, u, w ** (p - 1))).max() < 1e-14
+
+
 def test_optimizer_entries_run_on_the_smaller_side_only(monkeypatch):
     ran, built = [], []
     real_run, real_init = purity._multistart, _Kernel.__init__
