@@ -49,7 +49,16 @@ eigendecomposition, of the input operator.  Any other p takes the output
 eigenpairs and the power relative to ``lambda_max``; ``p = inf`` takes the
 limit of the power, the projector on the top output eigenvector.  All
 restarts of the fixed point run together as one stack; a restart leaves
-the stack once it meets its stopping rule.
+the stack once it meets its stopping rule.  Where the ascent converges
+slowly, its error shrinks by a nearly fixed rate ``rho`` per step, so every
+``JUMP_EVERY`` (6) steps a restart whose last two steps shrank by a rate
+inside ``JUMP_RATES`` (0.1 to 0.995) also tries the Aitken jump to the
+limit of that geometric sequence, from its last three iterates with their
+global phases aligned.  The trials are evaluated in the step's own
+objective call, and a restart takes its trial only where it ascends
+strictly further than the plain step: the ascent stays monotone, and a
+step still makes one input eigendecomposition and at most one batched
+output eigendecomposition.
 
 A run's starts are its ``initial_states`` followed by ``restarts`` Haar
 states, restart ``r`` drawn from ``derived_rng(seed, r)``.  Those depend only
@@ -305,16 +314,52 @@ def _ascent_operator(kern: _Kernel, m: np.ndarray, p: float):
     return kern.output_operator(m, w, u, hw), np.log(pnorm(w, p))
 
 
+#: The fixed point tries an extrapolated jump every ``JUMP_EVERY``-th step,
+#: for restarts whose last two steps shrank by a rate inside ``JUMP_RATES``.
+JUMP_EVERY = 6
+JUMP_RATES = (0.1, 0.995)
+
+
+def _jumps(psi0: np.ndarray, psi1: np.ndarray, psi2: np.ndarray):
+    """Aitken jumps from three successive iterate stacks: the rows whose
+    rate ``rho = ||psi2 - psi1|| / ||psi1 - psi0||`` lies inside
+    ``JUMP_RATES``, and their trials ``normalize(psi2 + rho / (1 - rho)
+    (psi2 - psi1))``, the limit of a sequence that keeps shrinking by
+    ``rho``.  ``psi1`` and ``psi0`` first take the global phase closest to
+    their successor, since an eigenvector is found only up to a phase."""
+
+    def aligned(a, b):
+        c = np.einsum("...i,...i->...", a.conj(), b)
+        return a * (c / np.abs(c))[..., None]
+
+    # Orthogonal or repeated iterates give nan or inf rates, which never jump.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi1 = aligned(psi1, psi2)
+        diff = psi2 - psi1
+        rho = np.linalg.norm(diff, axis=-1) / np.linalg.norm(psi1 - aligned(psi0, psi1), axis=-1)
+    rows = np.flatnonzero((rho > JUMP_RATES[0]) & (rho < JUMP_RATES[1]))
+    rho = rho[rows, None]
+    trial = psi2[rows] + rho / (1.0 - rho) * diff[rows]
+    return rows, trial / np.linalg.norm(trial, axis=-1, keepdims=True)
+
+
 def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter: int):
     """Fixed-point ascent of ``Tr sigma^p`` (``lambda_max`` at p = inf) from
     every row of ``psi`` at once: each step takes the principal eigenvector
     of ``Phi^+(X)``, ``X`` from :func:`_ascent_operator`.
+
+    Every ``JUMP_EVERY``-th step, a restart that converges linearly also
+    tries the jump of :func:`_jumps` from its last three iterates.  The
+    trials share the step's one :func:`_ascent_operator` call, and a restart
+    takes its trial only where the trial's objective is strictly higher
+    than the plain step's, so every step still ascends.
 
     A restart stops when the relative change of ``Tr sigma^p`` falls to
     ``tol``.
     """
     # Tr sigma^p changes by the p-th power of the ratio of the norms.
     exponent = 1.0 if math.isinf(p) else p
+    back = (psi, psi)  # the live restarts' iterates two steps and one step back
     psi = psi.copy()
     iters = np.full(len(psi), max_iter)
     conv = np.zeros(len(psi), dtype=bool)
@@ -322,8 +367,18 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter:
     x, obj = _ascent_operator(kern, kern.outputs(psi), p)
     for it in range(1, max_iter + 1):
         step = np.linalg.eigh(kern.adjoint(x))[1][..., -1]
+        if it % JUMP_EVERY:
+            x, new = _ascent_operator(kern, kern.outputs(step), p)
+        else:
+            rows, trial = _jumps(*back, step)
+            x, new = _ascent_operator(kern, kern.outputs(np.concatenate([step, trial])), p)
+            n = len(step)
+            up = new[n:] > new[rows]
+            take = rows[up]
+            step[take], x[take], new[take] = trial[up], x[n:][up], new[n:][up]
+            x, new = x[:n], new[:n]
         psi[live] = step
-        x, new = _ascent_operator(kern, kern.outputs(step), p)
+        back = (back[1], step)
         # A change too large for a double overflows to inf, which is not done.
         with np.errstate(over="ignore"):
             done = np.abs(np.expm1(exponent * (obj - new))) <= tol
@@ -332,6 +387,7 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter:
             conv[live[done]] = True
             keep = ~done
             live, x, new = live[keep], x[keep], new[keep]
+            back = (back[0][keep], back[1][keep])
             if not live.size:
                 break
         obj = new
@@ -348,22 +404,27 @@ def _gradient_restart(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: i
     ``t`` is the Barzilai-Borwein length ``<s, s> / -Re<s, y>`` of the last
     step ``s`` and the change ``y`` of ``r`` (twice the last length when the
     curvature is not negative), and it is halved until Armijo's condition
-    holds, so every accepted step ascends.
+    holds, so every accepted step ascends.  A trial evaluates only the
+    objective; the tangent is formed once, for the accepted point.
     """
 
-    def phi_and_tangent(psi):
+    def objective(psi):
+        # The objective, and the outputs and eigenpairs that its tangent needs.
         m = kern.outputs(psi)
         w, u = kern.eigh(m)
+        phi = float((w**p).sum()) if p is not None else -float(_entropy_nat(w))
+        return phi, (psi, m, w, u)
+
+    def tangent(psi, m, w, u):
         if p is not None:
-            phi = float((w**p).sum())
             h = p * _support_power(w, p - 1)
         else:
-            phi = -float(_entropy_nat(w))
             h = np.log(np.maximum(w, 1e-18)) + 1.0
         g = kern.pull_back(m, u, h)
-        return phi, g - psi * np.vdot(psi, g)
+        return g - psi * np.vdot(psi, g)
 
-    phi, r = phi_and_tangent(psi)
+    phi, at = objective(psi)
+    r = tangent(*at)
     step = 1.0
     converged = False
     it = 0
@@ -373,17 +434,24 @@ def _gradient_restart(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: i
             converged = True
             break
         accepted = False
+        last = None
         for _ in range(60):
             cand = psi + step * r
             cand = cand / np.linalg.norm(cand)
-            phi_new, r_new = phi_and_tangent(cand)
+            phi_new, at = objective(cand)
             if phi_new >= phi + 1e-4 * step * rnorm2:
                 accepted = True
                 break
+            # A trial that stopped moving and lies below phi fails every
+            # shorter step as well.
+            if phi_new < phi and last is not None and np.array_equal(cand, last):
+                break
+            last = cand
             step *= 0.5
         if not accepted:
             converged = True
             break
+        r_new = tangent(*at)
         s, y = cand - psi, r_new - r
         curvature = -float(np.vdot(s, y).real)
         step = min(float(np.vdot(s, s).real) / curvature if curvature > 0 else 2.0 * step, 1e6)
@@ -520,13 +588,14 @@ def _gap_reports(ch1: KrausChannel, ch2: KrausChannel, p, opts: OptimizerOptions
         return new.value - old.value > opts.tol * abs(old.value)
 
     k1, k2 = _side_kernel(ch1), _side_kernel(ch2)
-    r1 = _multistart(k1, p, opts)
-    r2 = _multistart(k2, p, opts)
-    # The factors take the product's side; a single kernel already there is reused.
+    # The factors take the product's side; a single kernel already there is
+    # reused.  They are built before any run, so that a refused factor costs none.
     flip = _flips(ch1, ch2)
     f1 = k1 if _flips(ch1) == flip else _side_kernel(ch1, flip)
     f2 = k2 if _flips(ch2) == flip else _side_kernel(ch2, flip)
     product = _ProductKernel(f1, f2)
+    r1 = _multistart(k1, p, opts)
+    r2 = _multistart(k2, p, opts)
     start = np.kron(r1.optimizer_state, r2.optimizer_state)
     r12 = _multistart(product, p, opts, initial_states=[start])
     u, _, vh = np.linalg.svd(r12.optimizer_state.reshape(ch1.d_in, ch2.d_in))

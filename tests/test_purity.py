@@ -284,6 +284,23 @@ def test_gap_factors_flip_only_where_their_flipped_kernels_fit():
         multiplicativity_gap(big, iso, 2, OptimizerOptions(restarts=2))
 
 
+def test_gap_refuses_a_factor_before_any_run(monkeypatch):
+    # The pair of the test above whose isometry is past the cap on the
+    # product's side: the refusal comes before either single run.
+    ran = []
+    real = purity._multistart
+    monkeypatch.setattr(purity, "_multistart", lambda *a, **kw: ran.append(a) or real(*a, **kw))
+    big = random_channel(rng_from_seed(33), 32, 2, 33)
+    iso = KrausChannel.from_operators([np.eye(513, 2)])
+    for run in (
+        lambda: multiplicativity_gap(big, iso, 2, OptimizerOptions(restarts=2)),
+        lambda: additivity_gap_entropy(big, iso, OptimizerOptions(restarts=2)),
+    ):
+        with pytest.raises(ValueError, match="exceeds the optimizer's supported size"):
+            run()
+        assert ran == []
+
+
 def _kernels(rng):
     """A kernel of each of ``KERNEL_SHAPES`` and a product kernel of each of
     ``PRODUCT_SHAPES``."""
@@ -319,6 +336,51 @@ def test_fixed_point_polynomial_route_matches_the_spectrum():
             x, obj = purity._ascent_operator(kern, m, p)
             assert np.abs(obj - np.log(pnorm(w, p))).max() < 1e-14
             assert np.abs(x - kern.output_operator(m, w, u, w ** (p - 1))).max() < 1e-14
+
+
+def test_fixed_point_jumps_where_the_ascent_converges_slowly(monkeypatch):
+    # A qubit channel whose plain fixed point shrinks its step by about 0.93
+    # per iteration near the optimum: every start needs 88 to 121 steps to
+    # tol 1e-10.  The extrapolated jumps cut that to at most 31.
+    kern = _Kernel(random_channel(rng_from_seed(1120), 2, 2, 2))
+    starts = purity._haar_starts(2, 0, 4)
+    for p in (2, math.inf):
+        psi, iters, conv = purity._fixed_point(kern, starts, p, 1e-10, 2000)
+        assert conv.all() and iters.max() <= 40
+        with monkeypatch.context() as m:
+            m.setattr(purity, "JUMP_EVERY", 2001)
+            plain, plain_iters, _ = purity._fixed_point(kern, starts, p, 1e-10, 2000)
+        assert plain_iters.max() >= 100
+        # Both reach the same optimum, within the stopping rule's slack.
+        vals, plain_vals = (pnorm(kern.spectrum(s), p) for s in (psi, plain))
+        assert np.abs(vals - plain_vals).max() < 1e-8
+
+
+def test_fixed_point_never_descends(monkeypatch):
+    # Runs one restart at a time.  The iterate after each step is the state
+    # whose operator the next step pulls back, so its objective is read off
+    # the _ascent_operator row that made that operator, plain step or jump.
+    made = []
+    real = purity._ascent_operator
+    monkeypatch.setattr(
+        purity, "_ascent_operator", lambda *a: made.append(real(*a)) or made[-1]
+    )
+    rng = rng_from_seed(36)
+    for kern in _kernels(rng):
+        pulled = []
+        kern.adjoint = lambda x, real=kern.adjoint: pulled.append(x) or real(x)
+        for p in (2, 3, 2.5, math.inf):
+            for _ in range(3):
+                made.clear()
+                pulled.clear()
+                psi0 = haar_state(kern.d_in, rng)[None]
+                psi = purity._fixed_point(kern, psi0, p, 1e-12, 2000)[0]
+                objs = [made[0][1][0]]
+                for (xs, vals), x in zip(made[1:-1], pulled[1:], strict=True):
+                    # The least objective of the rows that made this operator.
+                    objs.append(min(v for xi, v in zip(xs, vals) if np.array_equal(xi, x[0])))
+                objs.append(math.log(pnorm(kern.spectrum(psi[0]), p)))
+                assert min(np.diff(objs)) >= -1e-14
 
 
 def test_optimizer_entries_run_on_the_smaller_side_only(monkeypatch):
@@ -589,6 +651,28 @@ def test_gradient_engine_never_descends_from_its_start():
             assert rep.value >= pnorm(w, 1.5)
             rep = s_min(ch, one, base=math.e, initial_states=[psi])
             assert rep.value <= purity._entropy_nat(w)
+
+
+def test_gradient_engine_forms_the_tangent_only_at_accepted_points():
+    # A rejected trial needs only its objective.  A run cut at max_iter
+    # accepted every one of its steps; a run that converged, every step but
+    # perhaps its last.
+    rng = rng_from_seed(37)
+    evaluated, pulled = [], []
+    cut = rejected = 0
+    for kern in _kernels(rng):
+        kern.outputs = lambda psi, real=kern.outputs: evaluated.append(psi) or real(psi)
+        kern.pull_back = lambda *a, real=kern.pull_back: pulled.append(a) or real(*a)
+        for p in (1.5, None):
+            evaluated.clear()
+            pulled.clear()
+            psi0 = haar_state(kern.d_in, rng)
+            _, it, converged = purity._gradient_restart(kern, psi0, p, 1e-14, 6)
+            accepted = (it,) if not converged else (it - 1, it)
+            assert len(pulled) - 1 in accepted
+            cut += not converged
+            rejected += len(evaluated) - len(pulled)
+    assert cut > 0 and rejected > 0
 
 
 def test_nu_p_value_matches_state():
