@@ -692,7 +692,9 @@ def holevo_capacity_weyl(
             "capacity formula requires a Pauli-diagonal (Weyl covariant) channel"
         )
     opts = DEFAULT_OPTS if opts is None else opts
-    return math.log(ch.d, base) - s_min(ch.channel, opts, base=base).value
+    # s_min runs first, so that it refuses a bad base before math.log sees it.
+    smin = s_min(ch.channel, opts, base=base).value
+    return math.log(ch.d, base) - smin
 
 
 def noisy_image_norm_identity_residual(

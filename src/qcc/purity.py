@@ -38,39 +38,53 @@ gradient is ``F_r^+ Y conj(G_r)`` on the ``(n1 d1_out, n2 d2_out)``
 regrouping of ``Y = M h(sigma)^T``.  The outputs' eigenpairs and both
 engines are shared with the single-channel kernel.
 
-For p >= 2 the engine is the fixed-point iteration
+The main engine is the fixed-point iteration
 
-    psi  <-  principal eigenvector of  Phi^+( Phi(psi psi^+)^(p-1) ),
+    psi  <-  principal eigenvector of  Phi^+(X),  X = grad f(sigma),
+    sigma = Phi(psi psi^+),
 
-the natural power-iteration analogue, which ascends ``Tr Phi(rho)^p``.
+with ``X = sigma^(p-1)`` up to a positive factor for ``f = Tr sigma^p``
+and ``X = log sigma`` for ``f = -S(sigma)`` (its gradient ``log sigma + I``
+less the identity, which only shifts ``Phi^+(X)`` by the identity, since
+``Phi`` preserves the trace).  Both objectives are convex
+in ``sigma`` for every ``p >= 1``, so each lies above its linearization
+``f(sigma) + Tr X (sigma' - sigma)`` at the current output, and the new
+input, which maximizes that linearization over pure inputs, never
+descends: the convex-maximization argument of the generalized power method
+(Journee, Nesterov, Richtarik and Sepulchre, JMLR 11, 2010).
 At p = 2 and 3, ``sigma^(p-1)`` is ``p - 2`` matrix products of the Gram
 matrix and ``Tr sigma^p`` an entrywise sum, so a step makes one
-eigendecomposition, of the input operator.  Any other p takes the output
-eigenpairs and the power relative to ``lambda_max``; ``p = inf`` takes the
-limit of the power, the projector on the top output eigenvector.  All
-restarts of the fixed point run together as one stack; a restart leaves
-the stack once it meets its stopping rule.  Where the ascent converges
-slowly, its error shrinks by a nearly fixed rate ``rho`` per step, so every
-``JUMP_EVERY`` (6) steps a restart whose last two steps shrank by a rate
-inside ``JUMP_RATES`` (0.1 to 0.995) also tries the Aitken jump to the
-limit of that geometric sequence, from its last three iterates with their
-global phases aligned.  The trials are evaluated in the step's own
-objective call, and a restart takes its trial only where it ascends
-strictly further than the plain step: the ascent stays monotone, and a
-step still makes one input eigendecomposition and at most one batched
-output eigendecomposition.
+eigendecomposition, of the input operator.  Any other p, and the entropy,
+take the output eigenpairs, p with the power relative to ``lambda_max``;
+``p = inf`` takes the limit of the power, the projector on the top output
+eigenvector.  All restarts of the fixed point run together as one stack; a
+restart leaves the stack once it meets its stopping rule.  Where the
+ascent converges slowly, its error shrinks by a nearly fixed rate ``rho``
+per step, so every ``JUMP_EVERY`` (6) steps a restart whose last two steps
+shrank by a rate inside ``JUMP_RATES`` (0.1 to 0.995) also tries the
+Aitken jump to the limit of that geometric sequence, from its last three
+iterates with their global phases aligned.  The trials are evaluated in
+the step's own objective call, and a restart takes its trial only where it
+ascends strictly further than the plain step: the ascent stays monotone,
+and a step still makes one input eigendecomposition and at most one
+batched output eigendecomposition.
 
 A run's starts are its ``initial_states`` followed by ``restarts`` Haar
 states, restart ``r`` drawn from ``derived_rng(seed, r)``.  Those depend only
 on ``(d_in, seed, restarts)``, so each such stack is built once, kept
 read-only in a small cache and shared by every run with the same three.
 
-For p in [1, 2) and for the entropy, Riemannian gradient ascent on the unit
-sphere runs one restart at a time: each step moves along the tangent
-gradient ``r = g - psi <psi, g>`` and renormalizes.  The step length opens
-at the Barzilai-Borwein length of the last step and is halved until
-Armijo's condition holds, so every accepted step ascends.  The step is
-taken along ``r``, not ``g``: the radial part of ``g`` is
+A fixed-point step builds and eigensolves the whole ``d_in x d_in``
+operator ``Phi^+(X)``.  Where that is costly, for p in [1, 2) and the
+entropy on kernels with ``d_in^2 d_out > FIXED_POINT_SIZE``, Riemannian
+gradient ascent on the unit sphere runs instead, one restart at a time,
+and needs only the vector ``Phi^+(X) psi``.  p >= 2 stays on the fixed
+point at every size: the gradient's objective ``Tr sigma^p`` underflows
+at large p, and it has no form at p = inf.  Each gradient step moves along
+the tangent gradient ``r = g - psi <psi, g>`` and renormalizes.  The step
+length opens at the Barzilai-Borwein length of the last step and is halved
+until Armijo's condition holds, so every accepted step ascends.  The step
+is taken along ``r``, not ``g``: the radial part of ``g`` is
 ``Tr sigma h(sigma)``, so after renormalization a step along ``g`` stops
 growing with its length while Armijo's bound keeps growing, and on flat or
 degenerate landscapes the ascent crawls for thousands of iterations.
@@ -293,23 +307,27 @@ def _entropy_nat(w: np.ndarray) -> np.ndarray:
     return -(w * np.log(np.where(w > 0, w, 1.0))).sum(axis=-1)
 
 
-def _ascent_operator(kern: _Kernel, m: np.ndarray, p: float):
-    """The fixed point's output operator ``X``, a positive multiple of
-    ``sigma^(p-1)``, and its objective ``log ||sigma||_p``, for the outputs
-    ``m`` of a state stack.
+def _ascent_operator(kern: _Kernel, m: np.ndarray, p):
+    """The fixed point's output operator ``X`` and its log-objective, for
+    the outputs ``m`` of a state stack: ``X`` a positive multiple of
+    ``sigma^(p-1)`` and ``log ||sigma||_p`` for a number ``p``, and for
+    ``p = None`` ``X = log sigma`` and ``-S(sigma)`` in nats.
 
     At p = 2 and 3, ``X = sigma^(p-1)`` is built by ``p - 2`` matrix
     products and ``Tr sigma^p`` is the entrywise sum
     ``Re sum conj(sigma) X``, with no eigendecomposition.  Any other p takes
     the output eigenpairs, with the power relative to ``lambda_max``, which
     leaves the principal eigenvector of ``Phi^+(X)`` unchanged and keeps it
-    from underflowing at large p.
+    from underflowing at large p.  The entropy's ``log sigma`` clamps the
+    eigenvalues at ``1e-18``, as the gradient engine's tangent does.
     """
     if p in (2, 3):
         sigma = kern.gram(m)
         x = sigma if p == 2 else sigma @ sigma
         return x, np.log(np.einsum("...ij,...ij->...", sigma.conj(), x).real) / p
     w, u = kern.eigh(m)
+    if p is None:
+        return kern.output_operator(m, w, u, np.log(np.maximum(w, 1e-18))), -_entropy_nat(w)
     hw = _support_power(w / w[..., -1:], p - 1)
     return kern.output_operator(m, w, u, hw), np.log(pnorm(w, p))
 
@@ -343,10 +361,14 @@ def _jumps(psi0: np.ndarray, psi1: np.ndarray, psi2: np.ndarray):
     return rows, trial / np.linalg.norm(trial, axis=-1, keepdims=True)
 
 
-def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter: int):
-    """Fixed-point ascent of ``Tr sigma^p`` (``lambda_max`` at p = inf) from
-    every row of ``psi`` at once: each step takes the principal eigenvector
-    of ``Phi^+(X)``, ``X`` from :func:`_ascent_operator`.
+def _fixed_point(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
+    """Fixed-point ascent of ``Tr sigma^p`` (``lambda_max`` at p = inf; for
+    ``p = None``, ``-S(sigma)``) from every row of ``psi`` at once: each
+    step takes the principal eigenvector of ``Phi^+(X)``, ``X`` from
+    :func:`_ascent_operator`.  The objective is convex in ``sigma`` for
+    every ``p >= 1`` and for ``-S``, so it lies above its linearization at
+    the current output, and the step, which maximizes that linearization
+    over pure inputs, never descends.
 
     Every ``JUMP_EVERY``-th step, a restart that converges linearly also
     tries the jump of :func:`_jumps` from its last three iterates.  The
@@ -355,10 +377,13 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p: float, tol: float, max_iter:
     than the plain step's, so every step still ascends.
 
     A restart stops when the relative change of ``Tr sigma^p`` falls to
-    ``tol``.
+    ``tol``; for the entropy, when ``|expm1(Delta S)|`` does, so that a
+    restart whose entropy shrinks geometrically towards a pure output stops
+    once the change itself is small.
     """
-    # Tr sigma^p changes by the p-th power of the ratio of the norms.
-    exponent = 1.0 if math.isinf(p) else p
+    # Tr sigma^p changes by the p-th power of the ratio of the norms; -S is
+    # its own log-objective.
+    exponent = 1.0 if p is None or math.isinf(p) else p
     back = (psi, psi)  # the live restarts' iterates two steps and one step back
     psi = psi.copy()
     iters = np.full(len(psi), max_iter)
@@ -475,12 +500,22 @@ def _haar_starts(d_in: int, seed: int, count: int) -> np.ndarray:
     return starts
 
 
+#: The fixed point runs p in [1, 2) and the entropy on kernels with
+#: ``d_in^2 d_out`` up to this size, the gradient engine above it: a
+#: fixed-point step builds and eigensolves the whole ``d_in x d_in``
+#: operator ``Phi^+(X)`` for every restart, a gradient step one vector.
+FIXED_POINT_SIZE = 512
+
+
 def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> PurityReport:
     """The optimizer's one entry: maximize ``||sigma||_p`` (``p >= 1``) or,
     for ``p = None``, ``-S(sigma)`` in nats, from ``initial_states`` and
-    ``opts.restarts`` Haar states; the fixed point runs for p >= 2, gradient
-    ascent otherwise.  Reports the best final state, the first on ties; its
-    value is cut off at the objective's exact maximum, ``1`` or ``0``."""
+    ``opts.restarts`` Haar states.  The fixed point runs all restarts as one
+    batch for p >= 2 at every size, and for p in [1, 2) and the entropy
+    where ``d_in^2 d_out <= FIXED_POINT_SIZE``; gradient ascent runs them
+    one at a time otherwise.  Reports the best final state, the first on
+    ties; its value is cut off at the objective's exact maximum, ``1`` or
+    ``0``."""
     if p is not None and not p >= 1:
         raise ValueError(f"p must be at least 1, got {p}")
     seeded = [np.asarray(s, dtype=complex) for s in initial_states]
@@ -488,7 +523,7 @@ def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> 
     psi0 = np.concatenate([seeded, _haar_starts(kern.d_in, opts.seed, opts.restarts)])
     if not len(psi0):
         raise ValueError("the optimizer needs at least one start: restarts or initial_states")
-    if p is not None and p >= 2:
+    if (p is not None and p >= 2) or kern.d_in**2 * kern.d_out <= FIXED_POINT_SIZE:
         psi, iters, conv = _fixed_point(kern, psi0, p, opts.tol, opts.max_iter)
     else:
         runs = [_gradient_restart(kern, s, p, opts.tol, opts.max_iter) for s in psi0]
@@ -504,6 +539,13 @@ def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> 
         converged=bool(conv[best]),
         iterations=int(iters.sum()),
     )
+
+
+def _require_base(base: float) -> None:
+    """Refuse a log base other than a finite number above 1: base 1 has no
+    logarithm, and a base below 1 turns the minimum into a maximum."""
+    if not (math.isfinite(base) and base > 1):
+        raise ValueError(f"base must be a finite number above 1, got {base}")
 
 
 def _entropy_in_base(rep: PurityReport, base: float) -> PurityReport:
@@ -539,8 +581,10 @@ def s_min(
 ) -> PurityReport:
     """Minimal output entropy, reported in the given log base (default bits).
 
-    A certified upper bound achieved by ``optimizer_state``.
+    A certified upper bound achieved by ``optimizer_state``.  ``base``
+    must be finite and above 1.
     """
+    _require_base(base)
     return _entropy_in_base(_multistart(_side_kernel(ch), None, opts, initial_states), base)
 
 
@@ -640,7 +684,9 @@ def additivity_gap_entropy(
 ) -> GapReport:
     """Measure ``(S_min(ch1) + S_min(ch2)) - S_min(ch1 (x) ch2)`` (>= 0 up to
     optimizer slack; product states are feasible for the joint infimum).
-    The runs are seeded as in :func:`multiplicativity_gap`."""
+    The runs are seeded as in :func:`multiplicativity_gap`; ``base`` is
+    checked as in :func:`s_min`."""
+    _require_base(base)
     r1, r2, r12 = (_entropy_in_base(r, base) for r in _gap_reports(ch1, ch2, None, opts))
     rhs = r1.value + r2.value
     lhs = r12.value

@@ -359,14 +359,22 @@ def test_verify_command_and_exit_codes(capsys, tmp_path):
 def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
     dep = tmp_path / "dep.json"
     run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.3", "--out", str(dep))
-    # The fixed-point engine (p = 2) and the gradient engine (p = 1.5, smin).
+    # A random d = 9 channel with 9 Kraus operators: its (9, 9) kernel is
+    # above the fixed point's cutoff at p = 1.5 and for the entropy.
+    big = tmp_path / "big.json"
+    run_cli(capsys, "build", "random", "-d", "9", "--kraus", "9", "--seed", "3", "--out", str(big))
+    # The fixed-point engine (p = 2 on both inputs, p = 1.5 and smin on dep)
+    # and the gradient engine (p = 1.5 and smin on big).
     for argv in (["nu", "-p", "2"], ["nu", "-p", "1.5"], ["smin"]):
-        outs = []
-        for _ in range(2):
-            code, out, _ = run_cli(capsys, *argv, "--in", str(dep), "--seed", "9", "--restarts", "4")
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
+        for path in (dep, big):
+            outs = []
+            for _ in range(2):
+                code, out, _ = run_cli(
+                    capsys, *argv, "--in", str(path), "--seed", "9", "--restarts", "4"
+                )
+                assert code == 0
+                outs.append(out)
+            assert outs[0] == outs[1]
 
 
 def test_threads_env_override(capsys, tmp_path, monkeypatch):

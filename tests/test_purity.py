@@ -13,6 +13,7 @@ from qcc.linalg import dagger, pnorm
 from qcc.pauli import (
     build_basis,
     depolarizing_weights,
+    holevo_capacity_weyl,
     lambda_spectrum,
     noisy_weights,
     pauli_channel,
@@ -241,8 +242,12 @@ def test_kernels_build_the_superoperator_once_and_only_for_the_adjoint(monkeypat
     rng = rng_from_seed(26)
     c1, c2 = random_channel(rng, 2, 3, 2), random_channel(rng, 3, 2, 4)
     k1, k2 = _Kernel(c1), _Kernel(c2)
-    nu_p(c1, 1.5, FAST)
-    s_min(c1, FAST)
+    # A (9, 9) kernel is above the fixed point's cutoff: p = 1.5 and the
+    # entropy run the gradient engine, which never builds it.
+    big = random_channel(rng, 9, 9, 9)
+    assert 9**3 > purity.FIXED_POINT_SIZE
+    nu_p(big, 1.5, FAST)
+    s_min(big, FAST)
     assert built == []
     product = purity._ProductKernel(k1, k2)
     x = np.eye(product.d_out)
@@ -369,7 +374,8 @@ def test_fixed_point_never_descends(monkeypatch):
     for kern in _kernels(rng):
         pulled = []
         kern.adjoint = lambda x, real=kern.adjoint: pulled.append(x) or real(x)
-        for p in (2, 3, 2.5, math.inf):
+        # p = None is the entropy, whose log-objective is -S in nats.
+        for p in (2, 3, 2.5, math.inf, 1.5, None):
             for _ in range(3):
                 made.clear()
                 pulled.clear()
@@ -379,8 +385,74 @@ def test_fixed_point_never_descends(monkeypatch):
                 for (xs, vals), x in zip(made[1:-1], pulled[1:], strict=True):
                     # The least objective of the rows that made this operator.
                     objs.append(min(v for xi, v in zip(xs, vals) if np.array_equal(xi, x[0])))
-                objs.append(math.log(pnorm(kern.spectrum(psi[0]), p)))
+                w = kern.spectrum(psi[0])
+                objs.append(-purity._entropy_nat(w) if p is None else math.log(pnorm(w, p)))
                 assert min(np.diff(objs)) >= -1e-14
+
+
+def test_engine_rule_picks_each_engine_on_each_side_of_the_cutoff(monkeypatch):
+    # p in [1, 2) and the entropy run the fixed point on kernels with
+    # d_in^2 d_out up to FIXED_POINT_SIZE and the gradient engine above it;
+    # p >= 2 runs the fixed point at every size.
+    engines = []
+    for name in ("_fixed_point", "_gradient_restart"):
+        real = getattr(purity, name)
+        monkeypatch.setattr(
+            purity, name, lambda *a, name=name, real=real: engines.append(name) or real(*a)
+        )
+    rng = rng_from_seed(38)
+    small = [
+        _Kernel(random_channel(rng, 8, 8, 8)),
+        purity._ProductKernel(
+            _Kernel(random_channel(rng, 2, 2, 3)), _Kernel(random_channel(rng, 4, 4, 5))
+        ),
+    ]
+    large = [
+        _Kernel(random_channel(rng, 9, 9, 9)),
+        purity._ProductKernel(
+            _Kernel(random_channel(rng, 3, 3, 4)), _Kernel(random_channel(rng, 3, 3, 3))
+        ),
+    ]
+    opts = OptimizerOptions(restarts=2, max_iter=3)
+    for kernels, below in ((small, True), (large, False)):
+        for kern in kernels:
+            assert (kern.d_in**2 * kern.d_out <= purity.FIXED_POINT_SIZE) == below
+            for p, fixed in ((1.5, below), (None, below), (2, True), (math.inf, True)):
+                engines.clear()
+                purity._multistart(kern, p, opts)
+                assert engines == (["_fixed_point"] if fixed else ["_gradient_restart"] * 2)
+
+
+def test_entropy_fixed_point_stops_at_a_pure_output():
+    # A random (3, 3, 2) channel has S_min = 0: each of the 3 generalized
+    # eigenvectors of the pencil K_1 - lambda K_2 has a pure output.  Near
+    # it S shrinks geometrically, so a stop on its relative change would
+    # never fire and every restart would run to max_iter.
+    for seed in range(3):
+        ch = random_channel(rng_from_seed(40 + seed), 3, 3, 2)
+        rep = s_min(ch, FAST)
+        assert rep.converged and rep.value <= 1e-9
+        assert rep.iterations <= 60 * rep.restarts
+        kern = purity._side_kernel(ch)
+        _, iters, conv = purity._fixed_point(kern, purity._haar_starts(3, 0, 8), None, 1e-12, 2000)
+        assert conv.all() and iters.max() <= 60
+
+
+@pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf, 1.0, 0.0, -2.0, 0.5])
+def test_entropy_entries_reject_a_bad_base_before_any_run(monkeypatch, base):
+    # Base 1 has no logarithm, and a base below 1 turns the minimum into a maximum.
+    ran = []
+    real = purity._multistart
+    monkeypatch.setattr(purity, "_multistart", lambda *a, **kw: ran.append(a) or real(*a, **kw))
+    dep = pauli_channel(build_basis(2), depolarizing_weights(2, 0.5))
+    for run in (
+        lambda: s_min(dep.channel, FAST, base=base),
+        lambda: additivity_gap_entropy(dep.channel, dep.channel, FAST, base=base),
+        lambda: holevo_capacity_weyl(dep, FAST, base=base),
+    ):
+        with pytest.raises(ValueError, match="base must be a finite number above 1"):
+            run()
+    assert ran == []
 
 
 def test_optimizer_entries_run_on_the_smaller_side_only(monkeypatch):
@@ -422,7 +494,7 @@ def test_optimizer_entries_run_on_the_smaller_side_only(monkeypatch):
 FLIPPED_SHAPES = [(2, 3, 2), (3, 5, 1), (3, 4, 2), (4, 6, 3)]
 
 
-def test_flipped_and_raw_sides_agree():
+def test_flipped_and_raw_sides_agree(monkeypatch):
     rng = rng_from_seed(31)
     opts = OptimizerOptions(restarts=8, tol=1e-13, seed=1)
     ref_opts = replace(opts, restarts=64)
@@ -437,13 +509,16 @@ def test_flipped_and_raw_sides_agree():
     flipped = purity._ProductKernel(_Kernel(conjugate_kraus(c1)), _Kernel(conjugate_kraus(c2)))
     kernels.append((raw, flipped))
     for raw, flipped in kernels:
-        # The gradient engine takes the same steps on either side.
-        for p in (1.5, None):
-            a = purity._multistart(raw, p, opts).value
-            b = purity._multistart(flipped, p, opts).value
-            assert abs(a - b) < 1e-10
+        # The gradient engine takes the same steps on either side.  These
+        # kernels are below the cutoff, which is set to 0 to run it on them.
+        with monkeypatch.context() as m:
+            m.setattr(purity, "FIXED_POINT_SIZE", 0)
+            for p in (1.5, None):
+                a = purity._multistart(raw, p, opts).value
+                b = purity._multistart(flipped, p, opts).value
+                assert abs(a - b) < 1e-10
         # The fixed point takes other paths: both reach the optimum.
-        for p in (2, 3, math.inf):
+        for p in (2, 3, math.inf, 1.5, None):
             ref = purity._multistart(flipped, p, ref_opts).value
             for kern in (raw, flipped):
                 assert abs(purity._multistart(kern, p, opts).value - ref) < 1e-8
@@ -609,41 +684,56 @@ def test_reports_are_the_same_from_a_cold_and_a_warm_start_cache():
             assert np.array_equal(a.optimizer_state, b.optimizer_state)
 
 
-def test_gradient_engine_qubit_converges_in_few_iterations():
+#: The engine's cutoff as the optimizer sets it, and 0, which puts every run
+#: at p < 2 and of the entropy on the gradient engine.
+CUTOFFS = (purity.FIXED_POINT_SIZE, 0)
+
+
+def test_gradient_engine_qubit_converges_in_few_iterations(monkeypatch):
     # A unital qubit channel V K U: S_min is the entropy of ((1 + l)/2, (1 - l)/2),
     # l the largest Bloch contraction.  Stepping along the raw gradient took
-    # 177 to 277 iterations here, and stopped 4.4e-13 short.
+    # 177 to 277 iterations here, and stopped 4.4e-13 short.  A qubit kernel
+    # runs the fixed point; the gradient engine takes the same test.
     w = np.array([0.25, 0.02, 0.65, 0.08])
     pc = pauli_channel(build_basis(2), w)
     lam = np.abs(lambda_spectrum(pc)[1:]).max()
     hi, lo = (1 + lam) / 2, (1 - lam) / 2
     want = -(hi * math.log2(hi) + lo * math.log2(lo))
-    for seed in range(6):
-        rng = rng_from_seed(seed)
-        v, u = haar_unitary(2, rng), haar_unitary(2, rng)
-        ch = KrausChannel(d_in=2, d_out=2, kraus=v @ pc.channel.kraus @ u)
-        rep = s_min(ch, OptimizerOptions(restarts=1, tol=1e-13, seed=seed))
-        assert rep.converged
-        assert rep.iterations <= 50
-        assert abs(rep.value - want) <= 1e-13
+    for cutoff in CUTOFFS:
+        monkeypatch.setattr(purity, "FIXED_POINT_SIZE", cutoff)
+        for seed in range(6):
+            rng = rng_from_seed(seed)
+            v, u = haar_unitary(2, rng), haar_unitary(2, rng)
+            ch = KrausChannel(d_in=2, d_out=2, kraus=v @ pc.channel.kraus @ u)
+            rep = s_min(ch, OptimizerOptions(restarts=1, tol=1e-13, seed=seed))
+            assert rep.converged
+            assert rep.iterations <= 50
+            assert abs(rep.value - want) <= 1e-13
 
 
-def test_gradient_engine_product_converges_in_few_iterations():
+def test_gradient_engine_product_converges_in_few_iterations(monkeypatch):
     # dep3 (x) dep3: with steps along the raw gradient, the product report
-    # summed 53 to 56 iterations over its five starts at these seeds.
+    # summed 53 to 56 iterations over its five starts at these seeds.  Its
+    # (9, 9) product kernel runs the gradient engine; with the cutoff at 0
+    # its (3, 3) factors do too.
     dep = pauli_channel(build_basis(3), depolarizing_weights(3, 0.4)).channel
-    for seed in range(6):
-        rep = additivity_gap_entropy(dep, dep, OptimizerOptions(restarts=4, seed=seed))
-        assert rep.report_12.iterations <= 40
-        assert abs(rep.gap) < 1e-8
+    for cutoff in CUTOFFS:
+        monkeypatch.setattr(purity, "FIXED_POINT_SIZE", cutoff)
+        for seed in range(6):
+            rep = additivity_gap_entropy(dep, dep, OptimizerOptions(restarts=4, seed=seed))
+            assert rep.report_12.iterations <= 40
+            assert abs(rep.gap) < 1e-8
 
 
 def test_gradient_engine_never_descends_from_its_start():
+    # The public entries run these kernels on the fixed point; the gradient
+    # engine is run directly.
     rng = rng_from_seed(22)
     one = OptimizerOptions(restarts=0, tol=1e-12)
     for shape in ((2, 3, 3), (3, 3, 2), (3, 4, 5)):
         ch = random_channel(rng, *shape)
         kern = _Kernel(ch)
+        side = purity._side_kernel(ch)
         for _ in range(3):
             psi = haar_state(ch.d_in, rng)
             w = kern.spectrum(psi)
@@ -651,6 +741,10 @@ def test_gradient_engine_never_descends_from_its_start():
             assert rep.value >= pnorm(w, 1.5)
             rep = s_min(ch, one, base=math.e, initial_states=[psi])
             assert rep.value <= purity._entropy_nat(w)
+            up = purity._gradient_restart(side, psi, 1.5, 1e-12, 2000)[0]
+            assert pnorm(side.spectrum(up), 1.5) >= pnorm(w, 1.5)
+            down = purity._gradient_restart(side, psi, None, 1e-12, 2000)[0]
+            assert purity._entropy_nat(side.spectrum(down)) <= purity._entropy_nat(w)
 
 
 def test_gradient_engine_forms_the_tangent_only_at_accepted_points():
