@@ -233,67 +233,58 @@ def _check_build_size(args) -> None:
     from .linalg import MAX_DIM
 
     caps = (
-        ("-d", args.dim, MAX_DIM),
-        ("--dout", args.dout, MAX_DIM),
-        ("--kraus", args.kraus, MAX_DIM**2),
-        ("-n", args.n, MAX_DIM**2),
+        ("-d", "dim", MAX_DIM),
+        ("--dout", "dout", MAX_DIM),
+        ("--kraus", "kraus", MAX_DIM**2),
+        ("-n", "n", MAX_DIM**2),
     )
-    for flag, value, cap in caps:
+    for flag, dest, cap in caps:
+        value = getattr(args, dest, None)  # each kind takes some of the four
         if value is not None and value > cap:
             raise ValueError(f"{flag} {value} exceeds the supported size ({flag} <= {cap})")
 
 
-def cmd_build(args) -> tuple[dict, int]:
+def cmd_build_pauli(args) -> tuple[dict, int]:
+    """The Pauli-diagonal kinds: identity, noisy, depolarizing, pauli and axes."""
+    from . import pauli as pmod
     from . import serialize as ser
 
     _check_build_size(args)
-    kind = args.kind
-    d = args.dim
-    pauli_kinds = {"identity", "noisy", "depolarizing", "pauli", "axes"}
-    if kind in pauli_kinds:
-        from . import pauli as pmod
+    kind, d = args.kind, args.dim
+    basis = pmod.build_basis(d)
+    if kind == "axes":
+        ch = pmod.axes_channel(basis, args.s, _parse_floats(args.t), args.u)
+    elif kind == "pauli":
+        ch = pmod.pauli_channel(basis, _parse_floats(args.weights))
+    elif kind == "depolarizing":
+        ch = pmod.pauli_channel(basis, pmod.depolarizing_weights(d, args.b))
+    else:
+        weights = pmod.identity_weights if kind == "identity" else pmod.noisy_weights
+        ch = pmod.pauli_channel(basis, weights(d))
+    return (ser.pauli_to_obj(ch) if args.pauli_json else ser.channel_to_obj(ch.channel)), EXIT_OK
 
-        basis = pmod.build_basis(d)
-        if kind == "identity":
-            weights = pmod.identity_weights(d)
-        elif kind == "noisy":
-            weights = pmod.noisy_weights(d)
-        elif kind == "depolarizing":
-            if args.b is None:
-                raise ValueError("depolarizing needs -b")
-            weights = pmod.depolarizing_weights(d, args.b)
-        elif kind == "pauli":
-            if args.weights is None:
-                raise ValueError("pauli needs --weights w0,w1,...")
-            import numpy as np
 
-            weights = np.array(_parse_floats(args.weights))
-        else:  # axes
-            if args.s is None or args.t is None or args.u is None:
-                raise ValueError("axes needs -s, -t and -u")
-            ch = pmod.axes_channel(basis, args.s, _parse_floats(args.t), args.u)
-            return (ser.pauli_to_obj(ch) if args.pauli_json else ser.channel_to_obj(ch.channel)), EXIT_OK
-        ch = pmod.pauli_channel(basis, weights)
-        return (ser.pauli_to_obj(ch) if args.pauli_json else ser.channel_to_obj(ch.channel)), EXIT_OK
-    # The other kinds are seeded random instances.
+def cmd_build_random(args) -> tuple[dict, int]:
+    """The seeded random kinds: random, cq and ebt."""
+    from . import serialize as ser
     from .random import derived_rng
 
+    _check_build_size(args)
+    d = args.dim
+    d_out = args.dout or d
     rng = derived_rng(args.seed, 0)
-    if kind == "random":
+    if args.kind == "random":
         from .channel import KrausChannel
         from .random import random_kraus_operators
 
-        d_out = args.dout or d
-        n = args.kraus or d * d_out
-        ops = random_kraus_operators(d, d_out, n, rng)
+        ops = random_kraus_operators(d, d_out, args.kraus or d * d_out, rng)
         return ser.channel_to_obj(KrausChannel(d_in=d, d_out=d_out, kraus=ops)), EXIT_OK
     from . import ebt as ebtmod
 
-    if kind == "cq":
-        ch = ebtmod.random_cq(d, args.dout or d, rng)
-        return (ser.ebt_to_obj(ch) if args.ebt_json else ser.channel_to_obj(ch.channel)), EXIT_OK
-    n = args.n or d + 1  # ebt
-    ch = ebtmod.random_ebt(d, args.dout or d, n, rng)
+    if args.kind == "cq":
+        ch = ebtmod.random_cq(d, d_out, rng)
+    else:
+        ch = ebtmod.random_ebt(d, d_out, args.n or d + 1, rng)
     return (ser.ebt_to_obj(ch) if args.ebt_json else ser.channel_to_obj(ch.channel)), EXIT_OK
 
 
@@ -301,14 +292,14 @@ def cmd_conjugate(args) -> tuple[dict, int]:
     from . import conjugate as conj
     from .serialize import channel_to_obj
 
+    if args.check and args.method == "kraus":
+        raise ValueError("--check needs --method choi or ancilla: it compares with the kraus route")
     ch = _load_channel(args.infile)
     out = conj.conjugate_channel(ch, args.method)
     code = EXIT_OK
-    if args.check and args.method != "kraus":
+    if args.check:
         reference = conj.conjugate_channel(ch, "kraus")
         code = _check_isometry(out, reference, f"{args.method} vs kraus")
-    elif args.check:
-        print("[qcc] --check is a no-op for the kraus method itself", file=sys.stderr)
     if args.check_against:
         other = _load_channel(args.check_against)
         code = max(code, _check_isometry(out, other, "output vs reference"))
@@ -604,24 +595,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_build = subs.add_parser("build", parents=[seed, output], help="construct a channel")
-    p_build.add_argument(
-        "kind",
-        choices=("identity", "noisy", "depolarizing", "pauli", "ebt", "cq", "axes", "random"),
-    )
-    p_build.add_argument("-d", "--dim", type=_positive_int, required=True)
-    p_build.add_argument("--dout", type=_positive_int, default=None)
-    p_build.add_argument("-b", type=_finite_float, default=None, help="depolarizing parameter")
-    p_build.add_argument("--weights", default=None, help="comma-separated Pauli weights")
-    p_build.add_argument("-s", type=_finite_float, default=None, help="axes: identity weight")
-    p_build.add_argument("-t", default=None, help="axes: comma-separated per-axis weights")
-    p_build.add_argument("-u", type=_finite_float, default=None, help="axes: noise weight")
-    p_build.add_argument("--kraus", type=_positive_int, default=None, help="random: Kraus count")
-    p_build.add_argument("-n", type=_positive_int, default=None,
-                         help="ebt: number of rank-one elements")
-    p_build.add_argument("--pauli-json", action="store_true", help="emit the Pauli-diagonal format")
-    p_build.add_argument("--ebt-json", action="store_true", help="emit the EBT vector format")
-    p_build.set_defaults(handler=cmd_build)
+    # The build kinds' flag groups; a kind inherits its handler from its group.
+    dim = argparse.ArgumentParser(add_help=False, parents=[output])
+    dim.add_argument("-d", "--dim", type=_positive_int, required=True)
+    pauli_kind = argparse.ArgumentParser(add_help=False, parents=[dim])
+    pauli_kind.add_argument("--pauli-json", action="store_true", help="emit the Pauli-diagonal format")
+    pauli_kind.set_defaults(handler=cmd_build_pauli)
+    random_kind = argparse.ArgumentParser(add_help=False, parents=[dim, seed])
+    random_kind.add_argument("--dout", type=_positive_int, default=None)
+    random_kind.set_defaults(handler=cmd_build_random)
+    ebt_kind = argparse.ArgumentParser(add_help=False, parents=[random_kind])
+    ebt_kind.add_argument("--ebt-json", action="store_true", help="emit the EBT vector format")
+
+    p_build = subs.add_parser("build", help="construct a channel")
+    kinds = p_build.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("identity", parents=[pauli_kind], help="the identity channel")
+    kinds.add_parser("noisy", parents=[pauli_kind], help="the completely depolarizing channel")
+    kinds.add_parser("depolarizing", parents=[pauli_kind], help="rho -> b rho + (1-b) I/d").add_argument(
+        "-b", type=_finite_float, required=True, help="depolarizing parameter")
+    kinds.add_parser("pauli", parents=[pauli_kind], help="explicit Pauli weights").add_argument(
+        "--weights", required=True, help="comma-separated Pauli weights")
+    axes = kinds.add_parser("axes", parents=[pauli_kind], help="identity/axis-pinching/noise mixture")
+    axes.add_argument("-s", type=_finite_float, required=True, help="identity weight")
+    axes.add_argument("-t", required=True, help="comma-separated per-axis weights")
+    axes.add_argument("-u", type=_finite_float, required=True, help="noise weight")
+    kinds.add_parser("random", parents=[random_kind], help="seeded Haar channel").add_argument(
+        "--kraus", type=_positive_int, default=None, help="Kraus count")
+    kinds.add_parser("cq", parents=[ebt_kind], help="seeded random CQ channel")
+    kinds.add_parser("ebt", parents=[ebt_kind], help="seeded random EBT channel").add_argument(
+        "-n", type=_positive_int, default=None, help="number of rank-one elements")
 
     p_conj = subs.add_parser("conjugate", parents=[output], help="conjugate a channel")
     p_conj.add_argument("--in", dest="infile", required=True)

@@ -69,9 +69,10 @@ ascends strictly further than the plain step: the ascent stays monotone,
 and a step still makes one input eigendecomposition and at most one
 batched output eigendecomposition.
 
-A run's starts are its ``initial_states`` followed by ``restarts`` Haar
-states, restart ``r`` drawn from ``derived_rng(seed, r)``.  Those depend only
-on ``(d_in, seed, restarts)``, so each such stack is built once, kept
+A run's starts are the ``initial_states`` that the gap reruns and
+:func:`sampled_nu_p` seed it with, followed by ``restarts`` Haar states,
+restart ``r`` drawn from ``derived_rng(seed, r)``.  Those depend only on
+``(d_in, seed, restarts)``, so each such stack is built once, kept
 read-only in a small cache and shared by every run with the same three.
 
 A fixed-point step builds and eigensolves the whole ``d_in x d_in``
@@ -522,7 +523,7 @@ def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> 
     seeded = np.array([s / np.linalg.norm(s) for s in seeded], dtype=complex).reshape(-1, kern.d_in)
     psi0 = np.concatenate([seeded, _haar_starts(kern.d_in, opts.seed, opts.restarts)])
     if not len(psi0):
-        raise ValueError("the optimizer needs at least one start: restarts or initial_states")
+        raise ValueError("the optimizer needs at least one start: restarts >= 1 or a seeded state")
     if (p is not None and p >= 2) or kern.d_in**2 * kern.d_out <= FIXED_POINT_SIZE:
         psi, iters, conv = _fixed_point(kern, psi0, p, opts.tol, opts.max_iter)
     else:
@@ -554,38 +555,26 @@ def _entropy_in_base(rep: PurityReport, base: float) -> PurityReport:
     return replace(rep, value=-rep.value / math.log(base) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-def nu_p(
-    ch: KrausChannel,
-    p: float,
-    opts: OptimizerOptions = DEFAULT_OPTS,
-    initial_states=(),
-) -> PurityReport:
+def nu_p(ch: KrausChannel, p: float, opts: OptimizerOptions = DEFAULT_OPTS) -> PurityReport:
     """Maximal output p-norm ``sup_psi || Phi(psi psi^+) ||_p``.
 
     Returns a certified lower bound achieved by ``optimizer_state``;
     ``converged`` reports whether the winning restart's relative objective
-    change fell below ``opts.tol``.  Extra deterministic starting vectors
-    can be supplied via ``initial_states``; they run before the Haar
-    restarts and win ties.
+    change fell below ``opts.tol``.
     """
     if p is None:  # only the private path reads None, as the entropy
         raise ValueError("nu_p requires a number p >= 1, got None")
-    return _multistart(_side_kernel(ch), p, opts, initial_states)
+    return _multistart(_side_kernel(ch), p, opts)
 
 
-def s_min(
-    ch: KrausChannel,
-    opts: OptimizerOptions = DEFAULT_OPTS,
-    base: float = 2.0,
-    initial_states=(),
-) -> PurityReport:
+def s_min(ch: KrausChannel, opts: OptimizerOptions = DEFAULT_OPTS, base: float = 2.0) -> PurityReport:
     """Minimal output entropy, reported in the given log base (default bits).
 
     A certified upper bound achieved by ``optimizer_state``.  ``base``
     must be finite and above 1.
     """
     _require_base(base)
-    return _entropy_in_base(_multistart(_side_kernel(ch), None, opts, initial_states), base)
+    return _entropy_in_base(_multistart(_side_kernel(ch), None, opts), base)
 
 
 def spectrum_pair_check(ch: KrausChannel, psi: np.ndarray) -> tuple[Spectrum, Spectrum, float]:

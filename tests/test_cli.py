@@ -498,10 +498,25 @@ def _leaf_parsers(parser, name=()):
         yield from _leaf_parsers(sub, name + (word,))
 
 
+# The flags each ``build`` kind reads, besides ``--format`` and ``--out``.
+BUILD_FLAGS = {
+    "identity": {"-d", "--pauli-json"},
+    "noisy": {"-d", "--pauli-json"},
+    "depolarizing": {"-d", "--pauli-json", "-b"},
+    "pauli": {"-d", "--pauli-json", "--weights"},
+    "axes": {"-d", "--pauli-json", "-s", "-t", "-u"},
+    "random": {"-d", "--seed", "--dout", "--kraus"},
+    "cq": {"-d", "--seed", "--dout", "--ebt-json"},
+    "ebt": {"-d", "--seed", "--dout", "--ebt-json", "-n"},
+}
+
+
 def test_each_command_takes_only_the_flags_it_reads():
     optimizer = {"--seed", "--tol", "--restarts", "--max-iter"}
     extra = {
-        "build": {"--seed"},
+        "build random": {"--seed"},
+        "build cq": {"--seed"},
+        "build ebt": {"--seed"},
         "nu": optimizer,
         "smin": optimizer,
         "mult": optimizer,
@@ -512,11 +527,63 @@ def test_each_command_takes_only_the_flags_it_reads():
         "verify": {"--seed"},
     }
     leaves = dict(_leaf_parsers(build_parser()))
-    assert len(leaves) == 19 and set(extra) <= set(leaves)
+    assert len(leaves) == 26 and set(extra) <= set(leaves)
     for name, parser in leaves.items():
         flags = {s for a in parser._actions for s in a.option_strings}
         shared = flags & (optimizer | {"--format", "--out"})
         assert shared == {"--format", "--out"} | extra.get(name, set()), name
+    for kind, own in BUILD_FLAGS.items():
+        actions = leaves[f"build {kind}"]._actions
+        flags = {a.option_strings[0] for a in actions if a.option_strings and a.dest != "help"}
+        assert flags == own | {"--format", "--out"}, kind
+    assert sum(len(own) + 2 for own in BUILD_FLAGS.values()) == 44
+
+
+def test_build_kinds_reject_the_flags_they_do_not_read(capsys, tmp_path):
+    out = str(tmp_path / "built.json")
+    values = {
+        "-d": ["2"], "--dout": ["2"], "-b": ["0.5"], "--weights": ["0.25,0.25,0.25,0.25"],
+        "-s": ["0.5"], "-t": ["0.5"], "-u": ["0"], "--kraus": ["2"], "-n": ["3"],
+        "--pauli-json": [], "--ebt-json": [], "--seed": ["1"], "--format": ["csv"], "--out": [out],
+    }
+    required = {"-d", "-b", "--weights", "-s", "-t", "-u"}
+    for kind, own in BUILD_FLAGS.items():
+        base = ["build", kind] + [w for f in sorted(own & required) for w in [f, *values[f]]]
+        for flag, value in values.items():
+            if flag in required and flag in own:
+                continue
+            code, stdout, err = run_cli(capsys, *base, flag, *value)
+            if flag in own or flag in ("--format", "--out"):
+                assert code == 0 and err.startswith("[qcc] build finished"), (kind, flag)
+            else:
+                assert (code, stdout) == (2, ""), (kind, flag)
+                assert err.startswith(f"error: unrecognized arguments: {flag}"), err
+                assert len(err.strip().splitlines()) == 1, err
+        for flag in own & required:
+            i = base.index(flag)
+            code, stdout, err = run_cli(capsys, *base[:i], *base[i + 1 + len(values[flag]):])
+            assert (code, stdout) == (2, ""), (kind, flag)
+            assert err.startswith("error: the following arguments are required: ")
+            assert flag in err and len(err.strip().splitlines()) == 1, err
+
+    # A kind's flags follow the kind.
+    code, stdout, err = run_cli(capsys, "build", "-d", "2", "identity")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_route_check_of_the_kraus_method_is_a_usage_error(capsys, tmp_path):
+    dep = tmp_path / "dep.json"
+    run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.5", "--out", str(dep))
+    # The missing file shows that the check is refused before the input is read.
+    for infile in (str(dep), str(tmp_path / "missing.json")):
+        for method in ([], ["--method", "kraus"]):
+            code, out, err = run_cli(capsys, "conjugate", "--in", infile, *method, "--check")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --check needs --method choi or ancilla")
+            assert len(err.strip().splitlines()) == 1
+    code, out, err = run_cli(capsys, "conjugate", "--in", str(dep), "--method", "choi", "--check")
+    assert code == 0 and "check choi vs kraus" in err
 
 
 def test_flags_a_command_does_not_take_are_rejected(capsys, tmp_path):
@@ -717,15 +784,19 @@ def test_pauli_classify_refuses_the_zero_vector(capsys, tmp_path):
         ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "needs a state of trace 1, got 2"),
         ([[[1, 0], [1, 0]], [[0, 0], [0, 0]]], "needs a Hermitian state"),
         ([[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]], "needs a pure state (rank one)"),
+        ([[[1, 0], [0, 0]]], None),
     ],
-    ids=["identity", "non-hermitian", "trace-one-not-rank-one"],
+    ids=["identity", "non-hermitian", "trace-one-not-rank-one", "non-square"],
 )
 def test_pauli_ncimage_explicit_refuses_what_is_not_a_pure_state(capsys, tmp_path, state, message):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
     code, out, err = run_cli(capsys, "pauli", "ncimage", "-d", "2", "--explicit", "--state", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: the explicit formula {message}\n"
+    if message is None:
+        assert err == "error: state must be a square matrix, got shape (1, 2)\n"
+    else:
+        assert err == f"error: the explicit formula {message}\n"
 
 
 def _pauli_obj(d, basis, n_weights=None):
@@ -751,10 +822,13 @@ def _pauli_obj(d, basis, n_weights=None):
          "product of [2, 2] has dimension 4, not 3"),
         (["pauli", "lambda"], _pauli_obj(2, "weyl"), "unknown basis tag 'weyl'"),
         (["ebt", "conjugate"], {"x": [[[1, 0]]]}, "EBT JSON needs x and w vector lists"),
+        # A JSON integer too large for a double.
+        (["choi"], {"d_in": 1, "d_out": 1, "kraus": [[[[10**400, 0]]]]},
+         "complex scalar must be a finite [re, im] pair"),
     ],
     ids=["channel-not-object", "kraus-not-array", "not-trace-preserving", "pauli-missing-field",
          "pauli-d-below-2", "tag-unparsable", "tag-one-factor", "tag-mis-sized", "tag-unknown",
-         "ebt-missing-w"],
+         "ebt-missing-w", "entry-beyond-double"],
 )
 def test_malformed_input_files_are_rejected(capsys, tmp_path, command, obj, message):
     path = tmp_path / "bad.json"

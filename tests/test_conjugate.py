@@ -179,6 +179,8 @@ def test_find_relating_isometry_rejects_unrelated_channels():
     b = conj.conjugate_kraus(random_channel(rng, 2, 3, 3))
     with pytest.raises(conj.NotConjugateError):
         conj.find_relating_isometry(a, b)
+    with pytest.raises(ValueError, match="different input dimensions"):
+        conj.find_relating_isometry(a, random_channel(rng, 3, 2, 3))
 
 
 def test_tensor_compatibility_of_conjugates():

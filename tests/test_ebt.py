@@ -43,6 +43,17 @@ def test_ebt_channel_rejects_incomplete_povm():
         eb.ebt_channel([np.array([1.0, 0.0])], [np.array([1.0, 0.0])])
 
 
+def test_ebt_channel_rejects_unequal_vector_counts():
+    basis = list(np.eye(2))
+    with pytest.raises(ValueError, match="equally many"):
+        eb.ebt_channel(basis, basis[:1])
+
+
+def test_hadamard_channel_rejects_a_gram_matrix_that_is_not_psd():
+    with pytest.raises(ValueError, match="not PSD"):
+        eb.HadamardChannel(x_gram=np.diag([1.0, -0.5]), frame=tuple(np.eye(2)))
+
+
 def test_conjugate_ebt_matches_kraus_conjugate():
     rng = rng_from_seed(3)
     for _ in range(5):

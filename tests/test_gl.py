@@ -113,6 +113,14 @@ def test_shift_operator_guards():
         gl.shift_operator(3, "left", 7)  # 343 > supported total dimension
 
 
+def test_linearizers_reject_a_non_integer_p():
+    ch = random_channel(rng_from_seed(4), 2, 2, 2)
+    for p in (1.5, 2.0):
+        for op in (gl.theta, gl.omega):
+            with pytest.raises(ValueError, match="p must be a positive integer"):
+                op(ch, p)
+
+
 def test_theta_unitary_and_p1():
     rng = rng_from_seed(0)
     u = KrausChannel.from_operators([haar_unitary(2, rng)])

@@ -60,7 +60,14 @@ def test_help_and_parser_load_no_command_module(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--help",), ("nu", "--help"), ("nu", "--in", "x.json", "-p", "2", "--tol", "0")]
+    "argv",
+    [
+        ("--help",),
+        ("nu", "--help"),
+        ("nu", "--in", "x.json", "-p", "2", "--tol", "0"),
+        ("build", "depolarizing", "--help"),
+        ("build", "depolarizing", "-d", "3", "-b", "0.5", "--dout", "5"),
+    ],
 )
 def test_help_and_usage_errors_load_no_numpy(tmp_path, argv):
     code = f"from qcc.cli import main\nmain({list(argv)!r})"

@@ -89,6 +89,7 @@ def test_schatten_norm_closed_forms():
     proj = np.diag([1.0, 0.0, 0.0])
     for p in (1, 2, 3, math.inf):
         assert abs(schatten_norm(proj, p) - 1.0) < 1e-15
+        assert schatten_norm(np.zeros((3, 3)), p) == 0.0
     # (0.75^2 + 0.25^2)^(1/2), evaluated directly
     expected = math.sqrt(0.75**2 + 0.25**2)
     assert abs(schatten_norm(np.diag([0.75, 0.25]), 2) - expected) < 1e-14

@@ -89,10 +89,10 @@ def test_optimizer_options_cap_restarts_at_max_dim_squared():
 def test_optimizer_needs_at_least_one_start():
     ch = chn.identity_channel(2)
     none = replace(FAST, restarts=0)
-    for run in (lambda **kw: nu_p(ch, 2, none, **kw), lambda **kw: s_min(ch, none, **kw)):
+    for run, p in ((lambda: nu_p(ch, 2, none), 2), (lambda: s_min(ch, none), None)):
         with pytest.raises(ValueError, match="at least one start"):
             run()
-        rep = run(initial_states=[np.array([1.0, 1.0])])
+        rep = purity._multistart(purity._side_kernel(ch), p, none, [np.array([1.0, 1.0])])
         assert rep.restarts == 1 and rep.converged
 
 
@@ -646,7 +646,9 @@ def test_batched_fixed_point_matches_one_restart_at_a_time(shape):
     for p in (2, 3, math.inf):
         batched = nu_p(ch, p, opts).value
         single = max(
-            nu_p(ch, p, one, initial_states=[haar_state(d_in, derived_rng(opts.seed, r))]).value
+            purity._multistart(
+                purity._side_kernel(ch), p, one, [haar_state(d_in, derived_rng(opts.seed, r))]
+            ).value
             for r in range(opts.restarts)
         )
         assert abs(batched - single) < 1e-12
@@ -737,9 +739,9 @@ def test_gradient_engine_never_descends_from_its_start():
         for _ in range(3):
             psi = haar_state(ch.d_in, rng)
             w = kern.spectrum(psi)
-            rep = nu_p(ch, 1.5, one, initial_states=[psi])
+            rep = purity._multistart(side, 1.5, one, [psi])
             assert rep.value >= pnorm(w, 1.5)
-            rep = s_min(ch, one, base=math.e, initial_states=[psi])
+            rep = purity._entropy_in_base(purity._multistart(side, None, one, [psi]), math.e)
             assert rep.value <= purity._entropy_nat(w)
             up = purity._gradient_restart(side, psi, 1.5, 1e-12, 2000)[0]
             assert pnorm(side.spectrum(up), 1.5) >= pnorm(w, 1.5)

@@ -1,6 +1,7 @@
 import inspect
 
 import numpy as np
+import pytest
 
 from qcc import gl, verify
 
@@ -33,3 +34,8 @@ def test_run_suites_uses_each_suite_default_trial_count(monkeypatch):
     assert seen == {"conjugate": 20, "pauli": 25, "ebt": 8, "gl": 10}
     verify.run_suites("all", trials=3)
     assert set(seen.values()) == {3}
+
+
+def test_run_suites_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nosuch'"):
+        verify.run_suites("nosuch")
