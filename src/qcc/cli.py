@@ -62,15 +62,9 @@ def _report(command: str, args, results: dict, checks=None) -> dict:
         "results": results,
     }
     if checks is not None:
-        rep["checks"] = [
-            {
-                "name": c.name,
-                "passed": bool(c.passed),
-                "max_err": float(c.max_err),
-                "detail": c.detail,
-            }
-            for c in checks
-        ]
+        from dataclasses import asdict
+
+        rep["checks"] = [asdict(c) for c in checks]
     return rep
 
 
@@ -108,6 +102,12 @@ def _load_vector(path: str) -> np.ndarray:
 # ------------------------------------------------------------------ emitters
 
 def _flatten(prefix: str, obj, rows: list[tuple[str, str]]):
+    import numpy as np
+
+    if isinstance(obj, np.ndarray):
+        from .serialize import plain
+
+        obj = plain(obj).tolist()
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
@@ -158,12 +158,6 @@ def _emit(payload: dict, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _vector_or_none(v):
-    from .serialize import encode_vector
-
-    return None if v is None else encode_vector(v)
 
 
 # ------------------------------------------------------------------ handlers
@@ -323,11 +317,10 @@ def _check_isometry(a, b, label) -> int:
 
 def cmd_apply(args) -> tuple[dict, int]:
     from .channel import apply
-    from .serialize import encode_matrix
 
     ch = _load_channel(args.infile)
     rho = _load_matrix(args.state)
-    return {"matrix": encode_matrix(apply(ch, rho))}, EXIT_OK
+    return {"matrix": apply(ch, rho)}, EXIT_OK
 
 
 def cmd_choi(args) -> tuple[dict, int]:
@@ -357,14 +350,12 @@ def cmd_smin(args) -> tuple[dict, int]:
 
 def _run_fields(rep) -> dict:
     """The report fields of one optimizer run, in their printed order."""
-    from .serialize import encode_vector
-
     return {
         "value": rep.value,
         "converged": rep.converged,
         "restarts": rep.restarts,
         "iterations": rep.iterations,
-        "optimizer_state": encode_vector(rep.optimizer_state),
+        "optimizer_state": rep.optimizer_state,
     }
 
 
@@ -379,7 +370,7 @@ def cmd_mult(args) -> tuple[dict, int]:
         "lhs": gap.lhs,
         "rhs": gap.rhs,
         "gap": gap.gap,
-        "witness_state": _vector_or_none(gap.witness_state),
+        "witness_state": gap.witness_state,
     }
     return _report("mult", args, results), EXIT_OK
 
@@ -404,13 +395,12 @@ def _basis_for(args) -> PauliBasis:
 
 def cmd_pauli(args) -> tuple[dict, int]:
     from . import pauli as pmod
-    from . import serialize as ser
 
     sub = args.sub
     if sub == "lambda":
         ch = _load_pauli(args.infile)
         lam = pmod.lambda_spectrum(ch)
-        return _report("pauli lambda", args, {"d": ch.d, "lambda": ser.encode_vector(lam)}), EXIT_OK
+        return _report("pauli lambda", args, {"d": ch.d, "lambda": lam}), EXIT_OK
     if sub == "ncimage":
         basis = _basis_for(args)
         rho = _load_matrix(args.state)
@@ -421,7 +411,7 @@ def cmd_pauli(args) -> tuple[dict, int]:
             gamma = pmod.noisy_conjugate_image(basis, rho)
         checks = pmod.nc_image_checks(basis, gamma)
         results = {
-            "gamma": ser.encode_matrix(gamma),
+            "gamma": gamma,
             "checks": {
                 "projector": checks.projector,
                 "diagonal": checks.diagonal,
@@ -436,8 +426,8 @@ def cmd_pauli(args) -> tuple[dict, int]:
         results = {
             "p": _p_echo(args.p),
             "majorization_bound": mb.bound,
-            "beta": [float(x) for x in mb.beta],
-            "partition": [list(blk) for blk in mb.partition],
+            "beta": mb.beta,
+            "partition": mb.partition,
             "identity_block_is_subgroup": mb.identity_block_is_subgroup,
             "ambiguous": mb.ambiguous,
             "nu2_bound": pmod.nu2_bound(ch),
@@ -448,10 +438,10 @@ def cmd_pauli(args) -> tuple[dict, int]:
         rho = _load_matrix(args.state)
         rep = pmod.subgroup_of_support(basis, rho, tol=args.tol)
         results = {
-            "generators": list(rep.generator_indices),
-            "subgroup": list(rep.subgroup_indices),
+            "generators": rep.generator_indices,
+            "subgroup": rep.subgroup_indices,
             "order": rep.order,
-            "cosets": [list(c) for c in rep.cosets],
+            "cosets": rep.cosets,
         }
         return _report("pauli subgroup", args, results), EXIT_OK
     # classify
@@ -462,7 +452,7 @@ def cmd_pauli(args) -> tuple[dict, int]:
     results = {
         "d2_decomposable": res.d2_decomposable,
         "class": res.klass,
-        "schmidt_values": [float(s) for s in res.schmidt_values],
+        "schmidt_values": res.schmidt_values,
     }
     return _report("pauli classify", args, results), EXIT_OK
 
@@ -493,8 +483,8 @@ def cmd_ebt(args) -> tuple[dict, int]:
         ch = ser.ebt_from_obj(_read_json(args.infile))
         had, kraus = ebtmod.conjugate_ebt(ch)
         results = {
-            "gram": ser.encode_matrix(had.x_gram),
-            "frame": [ser.encode_vector(v) for v in had.frame],
+            "gram": had.x_gram,
+            "frame": had.frame,
             "channel": ser.channel_to_obj(kraus),
         }
         return _report("ebt conjugate", args, results), EXIT_OK
@@ -503,22 +493,21 @@ def cmd_ebt(args) -> tuple[dict, int]:
     det = ebtmod.is_hadamard_form(ch)
     results = {
         "verdict": det.verdict,
-        "frame": None if det.frame is None else [ser.encode_vector(v) for v in det.frame],
-        "gram": None if det.gram is None else ser.encode_matrix(det.gram),
+        "frame": det.frame,
+        "gram": det.gram,
     }
     return _report("ebt detect", args, results), EXIT_OK
 
 
 def cmd_gl(args) -> tuple[dict, int]:
     from . import gl as glmod
-    from .serialize import encode_matrix
 
     ch = _load_channel(args.infile)
     p = args.p
     if args.sub == "theta":
-        return {"matrix": encode_matrix(glmod.theta(ch, p))}, EXIT_OK
+        return {"matrix": glmod.theta(ch, p)}, EXIT_OK
     if args.sub == "omega":
-        return {"matrix": encode_matrix(glmod.omega(ch, p))}, EXIT_OK
+        return {"matrix": glmod.omega(ch, p)}, EXIT_OK
     # verify
     from .random import derived_rng, random_density
 
@@ -668,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--in", dest="infile", required=True)
     pl.set_defaults(handler=cmd_pauli)
     pn = pauli_subs.add_parser("ncimage", parents=[output])
-    pn.add_argument("-d", "--dim", type=int, required=True)
+    pn.add_argument("-d", "--dim", type=_positive_int, required=True)
     pn.add_argument("--state", required=True, help="matrix JSON file")
     pn.add_argument("--product", action="store_true", help="use the d x d product basis")
     pn.add_argument("--explicit", action="store_true", help="use the closed-form assembly")
@@ -678,12 +667,12 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("-p", type=_parse_p, default=math.inf)
     pb.set_defaults(handler=cmd_pauli)
     ps = pauli_subs.add_parser("subgroup", parents=[cutoff, output])
-    ps.add_argument("-d", "--dim", type=int, required=True)
+    ps.add_argument("-d", "--dim", type=_positive_int, required=True)
     ps.add_argument("--state", required=True)
     ps.add_argument("--product", action="store_true")
     ps.set_defaults(handler=cmd_pauli)
     pc = pauli_subs.add_parser("classify", parents=[cutoff, output])
-    pc.add_argument("-d", "--dim", type=int, required=True, help="prime factor dimension")
+    pc.add_argument("-d", "--dim", type=_positive_int, required=True, help="prime factor dimension")
     pc.add_argument("--state", required=True, help="vector JSON file on d^2")
     pc.set_defaults(handler=cmd_pauli)
 

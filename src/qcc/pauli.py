@@ -287,6 +287,8 @@ def nc_image_explicit(basis: PauliBasis, psi: np.ndarray) -> np.ndarray:
         raise ValueError("explicit form applies to the generalized Pauli basis")
     d = basis.d
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (d,):
+        raise ValueError(f"state must be a vector of length {d}, got shape {psi.shape}")
     psi = psi / np.linalg.norm(psi)
     omega = np.exp(2j * np.pi / d)
     total = np.zeros((d * d, d * d), dtype=complex)

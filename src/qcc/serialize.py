@@ -4,6 +4,8 @@ Channel files are objects ``{"d_in": .., "d_out": .., "kraus": [..]}`` where
 each Kraus operator is a row-major array of rows and each scalar a two-element
 ``[re, im]`` array of doubles.  Field names and their order are normative.
 Floats are printed with 17 significant digits so every value round-trips.
+:func:`dumps` writes a numpy array as the nested list :func:`plain` makes of
+it: a real array as its numbers, a complex one with ``[re, im]`` entries.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import ChoiMatrix, KrausChannel
+from .linalg import MAX_DIM
 
 # The Pauli and EBT codecs import their modules when called, so that reading
 # or writing a plain channel loads neither.
@@ -30,67 +33,65 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def plain(a) -> np.ndarray:
+    """The array JSON writes: a complex array gains a trailing ``[re, im]`` axis."""
+    a = np.asarray(a)
+    return np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a) else a
+
+
 def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON text with 17-significant-digit floats.
 
     Dict insertion order is preserved, so callers control field order.
     """
-    pieces: list[str] = []
-    _emit(obj, pieces, indent, 0)
-    return "".join(pieces)
+    return _text(obj, indent, 0)
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1)) if indent else ""
-    close_pad = " " * (indent * level) if indent else ""
-    sep = ",\n" if indent else ", "
-    nl = "\n" if indent else ""
+def _wrap(items: list[str], brackets: str, indent: int, level: int) -> str:
+    """``items`` between ``brackets``, one per line when ``indent`` is set."""
+    if not items:
+        return brackets
+    if not indent:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "\n" + " " * (indent * (level + 1))
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * (indent * level) + brackets[1]
+
+
+def _text(obj, indent: int, level: int) -> str:
+    if isinstance(obj, np.ndarray):
+        return _array_text(obj, indent, level)
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{" + nl)
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(k))}: ")
-            _emit(v, out, indent, level + 1)
-            out.append(sep if i < len(obj) - 1 else nl)
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[" + nl)
-        for i, v in enumerate(items):
-            out.append(pad)
-            _emit(v, out, indent, level + 1)
-            out.append(sep if i < len(items) - 1 else nl)
-        out.append(close_pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(k))}: {_text(v, indent, level + 1)}" for k, v in obj.items()]
+        return _wrap(items, "{}", indent, level)
+    if isinstance(obj, (list, tuple)):
+        return _wrap([_text(v, indent, level + 1) for v in obj], "[]", indent, level)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def encode_vector(v: np.ndarray) -> list[list[float]]:
-    return [encode_complex(z) for z in np.asarray(v).ravel()]
-
-
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m)
-    return [[encode_complex(z) for z in row] for row in m]
+def _array_text(a: np.ndarray, indent: int, level: int) -> str:
+    """``plain(a).tolist()``'s text; for floats, one ``%`` call on a template
+    that holds the layout and a ``%.17g`` (``format_float``'s format) per number."""
+    a = plain(a)
+    if a.dtype.kind != "f" or not a.size:
+        return _text(a.tolist(), indent, level)
+    flat = a.ravel()
+    bad = flat[~np.isfinite(flat)]
+    if bad.size:
+        raise ValueError(f"cannot serialize non-finite value {float(bad[0])}")
+    template = "%.17g"
+    for axis in range(a.ndim - 1, -1, -1):
+        template = _wrap([template] * a.shape[axis], "[]", indent, level + axis)
+    return template % tuple(flat.tolist())
 
 
 def _finite_number(t) -> bool:
@@ -141,11 +142,7 @@ def decode_matrix(obj) -> np.ndarray:
 
 
 def channel_to_obj(ch: KrausChannel) -> dict:
-    return {
-        "d_in": ch.d_in,
-        "d_out": ch.d_out,
-        "kraus": [encode_matrix(f) for f in ch.kraus],
-    }
+    return {"d_in": ch.d_in, "d_out": ch.d_out, "kraus": ch.kraus}
 
 
 def channel_from_obj(obj) -> KrausChannel:
@@ -167,11 +164,7 @@ def channel_from_obj(obj) -> KrausChannel:
 
 
 def choi_to_obj(choi: ChoiMatrix) -> dict:
-    return {
-        "d_in": choi.d_in,
-        "d_out": choi.d_out,
-        "gamma": encode_matrix(choi.gamma),
-    }
+    return {"d_in": choi.d_in, "d_out": choi.d_out, "gamma": choi.gamma}
 
 
 def basis_tag(basis: PauliBasis) -> str:
@@ -182,11 +175,7 @@ def basis_tag(basis: PauliBasis) -> str:
 
 
 def pauli_to_obj(ch: PauliDiagonalChannel) -> dict:
-    return {
-        "d": ch.d,
-        "basis": basis_tag(ch.basis),
-        "weights": [float(w) for w in ch.weights],
-    }
+    return {"d": ch.d, "basis": basis_tag(ch.basis), "weights": ch.weights}
 
 
 def pauli_from_obj(obj) -> PauliDiagonalChannel:
@@ -227,10 +216,7 @@ def pauli_from_obj(obj) -> PauliDiagonalChannel:
 
 
 def ebt_to_obj(ch: EBTChannel) -> dict:
-    return {
-        "x": [encode_vector(v) for v in ch.x],
-        "w": [encode_vector(v) for v in ch.w],
-    }
+    return {"x": ch.x, "w": ch.w}
 
 
 def ebt_from_obj(obj) -> EBTChannel:
@@ -240,4 +226,10 @@ def ebt_from_obj(obj) -> EBTChannel:
 
     xs = [decode_vector(v) for v in obj["x"]]
     ws = [decode_vector(v) for v in obj["w"]]
+    # The caps of ``build ebt``, checked before completeness forms an outer product.
+    d_in, d_out = (max((v.size for v in vs), default=0) for vs in (ws, xs))
+    n = max(len(xs), len(ws))
+    for name, size, cap in (("d_in", d_in, MAX_DIM), ("d_out", d_out, MAX_DIM), ("n", n, MAX_DIM**2)):
+        if size > cap:
+            raise ValueError(f"EBT {name} {size} exceeds the supported size ({name} <= {cap})")
     return ebt_channel(xs, ws)

@@ -38,6 +38,8 @@ SUITE_NAMES = ("conjugate", "pauli", "ebt", "gl")
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check; its fields, in this order, are an entry of a report's ``checks``."""
+
     name: str
     passed: bool
     max_err: float
@@ -626,8 +628,8 @@ def suite_gl(seed: int = 0, trials: int = 10) -> list[CheckResult]:
     out.append(_result("theta linearizes pure states", err_pure, 1e-12))
     out.append(CheckResult(
         "theta fails on mixed states (violation exhibited)",
-        best_violation > 1e-3,
-        best_violation,
+        bool(best_violation > 1e-3),
+        float(best_violation),
         detail=f"largest mixed-state deviation {best_violation:.3e}",
     ))
     return out

@@ -27,6 +27,39 @@ def test_float_formatting_round_trips():
         assert float(ser.format_float(x)) == x
 
 
+def _writer_error(obj) -> str:
+    with pytest.raises(ValueError) as info:
+        ser.dumps(obj)
+    return str(info.value)
+
+
+def test_array_writer_matches_the_list_writer():
+    # The writer of nested Python lists is the reference: an array must come
+    # out as the nested list plain() makes of it would.
+    rng = np.random.default_rng(5)
+    edge = np.array([-0.0, 5e-324, 1e300, -1e300, 1 / 3, 0.1, 1.0, 0.0])
+    arrays = [edge, edge + 1j * edge[::-1], edge.reshape(2, 4) * 1j]
+    for shape in ((3,), (2, 3), (2, 3, 4), (1, 1, 1)):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        arrays += [x, x + 1j * rng.standard_normal(shape)]
+    arrays += [np.arange(4), np.zeros(0), np.zeros((2, 0), dtype=complex)]
+    for a in arrays:
+        for indent in (0, 2):
+            lists = ser.plain(a).tolist()
+            assert ser.dumps(a, indent) == ser.dumps(lists, indent), (a, indent)
+            nested = {"a": a, "b": [1, (a, {"c": a})], "d": None}
+            reference = {"a": lists, "b": [1, (lists, {"c": lists})], "d": None}
+            assert ser.dumps(nested, indent) == ser.dumps(reference, indent)
+    assert ser.plain(np.array([1 + 2j, -0.0 - 3j])).tolist() == [[1.0, 2.0], [-0.0, -3.0]]
+
+    for bad in (np.nan, np.inf, -np.inf):
+        for a in (np.array([1.0, bad]), np.array([[1 + 1j, complex(2, bad)]])):
+            message = _writer_error(ser.plain(a).tolist())
+            assert message == f"cannot serialize non-finite value {bad}"
+            assert _writer_error(a) == message
+            assert _writer_error({"x": [a]}) == message
+
+
 def test_channel_json_round_trip_fixed_point():
     rng = rng_from_seed(0)
     ch = KrausChannel(d_in=2, d_out=3, kraus=random_kraus_operators(2, 3, 4, rng))
@@ -65,7 +98,7 @@ def test_pauli_json_round_trip():
     prod = pauli_channel(product_basis(b2, b2), np.full(16, 1 / 16))
     obj = ser.pauli_to_obj(prod)
     assert obj["basis"] == "pauli_product:[2,2]"
-    back = ser.pauli_from_obj(obj)
+    back = ser.pauli_from_obj(json.loads(ser.dumps(obj)))
     assert back.basis.kind == "pauli_product"
 
 
@@ -191,7 +224,7 @@ def test_boolean_dimensions_are_rejected(capsys, tmp_path):
         obj = ser.channel_to_obj(chn.identity_channel(1))
         obj[key] = True
         path = tmp_path / f"{key}.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(ser.dumps(obj))
         for argv in (["choi"], ["nu", "-p", "2"]):
             code, out, err = run_cli(capsys, *argv, "--in", str(path))
             assert (code, out) == (2, ""), argv
@@ -225,7 +258,7 @@ def test_restarts_beyond_the_cap_are_rejected(capsys, tmp_path):
 
 def test_pauli_subgroup_rejects_a_state_of_the_wrong_shape(capsys, tmp_path):
     state = tmp_path / "rho3.json"
-    state.write_text(ser.dumps(ser.encode_matrix(np.eye(3) / 3)))
+    state.write_text(ser.dumps(np.eye(3, dtype=complex) / 3))
     code, out, err = run_cli(capsys, "pauli", "subgroup", "-d", "2", "--state", str(state))
     assert (code, out) == (2, "")
     assert err == "error: state must be 2x2\n"
@@ -472,6 +505,10 @@ def test_usage_error_is_one_line(capsys, tmp_path):
         (["build", "ebt", "-d", "2", "-n", "0"], "-n"),
         (["build", "ebt", "-d", "0"], "-d/--dim"),
         (["gl", "theta", "--in", str(dep), "-p", "0"], "-p"),
+        (["pauli", "ncimage", "-d", "abc", "--state", str(dep)], "-d/--dim"),
+        (["pauli", "subgroup", "-d", "abc", "--state", str(dep)], "-d/--dim"),
+        (["pauli", "classify", "-d", "abc", "--state", str(dep)], "-d/--dim"),
+        (["pauli", "classify", "-d", "0", "--state", str(dep)], "-d/--dim"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -661,7 +698,7 @@ def test_sizes_beyond_the_cap_are_rejected(capsys, tmp_path):
     from qcc.pauli import MAX_DIM
 
     state = tmp_path / "rho.json"
-    state.write_text(ser.dumps(ser.encode_matrix(np.eye(2) / 2)))
+    state.write_text(ser.dumps(np.eye(2, dtype=complex) / 2))
     over = str(MAX_DIM + 1)
     for argv in (
         ["build", "noisy", "-d", over],
@@ -781,22 +818,26 @@ def test_pauli_classify_refuses_the_zero_vector(capsys, tmp_path):
 @pytest.mark.parametrize(
     "state, message",
     [
-        ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "needs a state of trace 1, got 2"),
-        ([[[1, 0], [1, 0]], [[0, 0], [0, 0]]], "needs a Hermitian state"),
-        ([[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]], "needs a pure state (rank one)"),
-        ([[[1, 0], [0, 0]]], None),
+        ([[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+         "the explicit formula needs a state of trace 1, got 2"),
+        ([[[1, 0], [1, 0]], [[0, 0], [0, 0]]], "the explicit formula needs a Hermitian state"),
+        ([[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+         "the explicit formula needs a pure state (rank one)"),
+        ([[[1, 0], [0, 0]]], "state must be a square matrix, got shape (1, 2)"),
+        # Pure states, but not on C^2.
+        ([[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]],
+         "state must be a vector of length 2, got shape (3,)"),
+        ([[[1, 0]]], "state must be a vector of length 2, got shape (1,)"),
     ],
-    ids=["identity", "non-hermitian", "trace-one-not-rank-one", "non-square"],
+    ids=["identity", "non-hermitian", "trace-one-not-rank-one", "non-square", "pure-3x3",
+         "pure-1x1"],
 )
 def test_pauli_ncimage_explicit_refuses_what_is_not_a_pure_state(capsys, tmp_path, state, message):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(state))
     code, out, err = run_cli(capsys, "pauli", "ncimage", "-d", "2", "--explicit", "--state", str(path))
     assert (code, out) == (2, "")
-    if message is None:
-        assert err == "error: state must be a square matrix, got shape (1, 2)\n"
-    else:
-        assert err == f"error: the explicit formula {message}\n"
+    assert err == f"error: {message}\n"
 
 
 def _pauli_obj(d, basis, n_weights=None):
@@ -825,10 +866,19 @@ def _pauli_obj(d, basis, n_weights=None):
         # A JSON integer too large for a double.
         (["choi"], {"d_in": 1, "d_out": 1, "kraus": [[[[10**400, 0]]]]},
          "complex scalar must be a finite [re, im] pair"),
+        # EBT files beyond the caps of build ebt, refused before the
+        # completeness check forms a 3000 x 3000 outer product.
+        (["ebt", "conjugate"], {"x": [[[1, 0]]] * 3, "w": [[[1, 0]] * 3000] * 3},
+         "EBT d_in 3000 exceeds the supported size (d_in <= 32)"),
+        (["ebt", "conjugate"], {"x": [[[1, 0]] * 33], "w": [[[1, 0]]]},
+         "EBT d_out 33 exceeds the supported size (d_out <= 32)"),
+        (["ebt", "conjugate"], {"x": [[[1, 0]]] * 1025, "w": [[[1, 0]]] * 1025},
+         "EBT n 1025 exceeds the supported size (n <= 1024)"),
     ],
     ids=["channel-not-object", "kraus-not-array", "not-trace-preserving", "pauli-missing-field",
          "pauli-d-below-2", "tag-unparsable", "tag-one-factor", "tag-mis-sized", "tag-unknown",
-         "ebt-missing-w", "entry-beyond-double"],
+         "ebt-missing-w", "entry-beyond-double", "ebt-d-in-beyond-cap", "ebt-d-out-beyond-cap",
+         "ebt-n-beyond-cap"],
 )
 def test_malformed_input_files_are_rejected(capsys, tmp_path, command, obj, message):
     path = tmp_path / "bad.json"
