@@ -84,14 +84,20 @@ def _array_text(a: np.ndarray, indent: int, level: int) -> str:
     a = plain(a)
     if a.dtype.kind != "f" or not a.size:
         return _text(a.tolist(), indent, level)
+    template = "%.17g"
+    for axis in range(a.ndim - 1, -1, -1):
+        template = _wrap([template] * a.shape[axis], "[]", indent, level + axis)
+    return template % finite_values(a)
+
+
+def finite_values(a: np.ndarray) -> tuple:
+    """The numbers of a float array in row-major order, refused as
+    :func:`format_float` refuses them if any is not finite."""
     flat = a.ravel()
     bad = flat[~np.isfinite(flat)]
     if bad.size:
         raise ValueError(f"cannot serialize non-finite value {float(bad[0])}")
-    template = "%.17g"
-    for axis in range(a.ndim - 1, -1, -1):
-        template = _wrap([template] * a.shape[axis], "[]", indent, level + axis)
-    return template % tuple(flat.tolist())
+    return tuple(flat.tolist())
 
 
 def _finite_number(t) -> bool:

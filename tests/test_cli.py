@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -922,3 +925,89 @@ def test_unwritable_output_is_an_io_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "build", "identity", "-d", "2", "--out", str(tmp_path))
     assert (code, out) == (4, "")
     assert err.startswith("i/o error:")
+
+
+def _render_reference(obj):
+    """The payload with every numpy array replaced by its nested list."""
+    if isinstance(obj, np.ndarray):
+        return ser.plain(obj).tolist()
+    if isinstance(obj, dict):
+        return {k: _render_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_render_reference(v) for v in obj]
+    return obj
+
+
+def test_csv_and_text_write_arrays_as_their_nested_lists():
+    from qcc.cli import _flatten, _render
+
+    def rows(obj):
+        out = []
+        _flatten("", obj, out)
+        return out
+
+    rng = np.random.default_rng(6)
+    edge = np.array([-0.0, 5e-324, 1e300, -1e300, 1 / 3, 0.1, 1.0, 0.0])
+    arrays = [edge, edge + 1j * edge[::-1], edge.reshape(2, 4) * 1j, np.array(0.25), np.array(1j)]
+    for shape in ((3,), (2, 3), (2, 3, 4), (1, 1, 1), (11, 2)):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        arrays += [x, x + 1j * rng.standard_normal(shape)]
+    arrays += [np.arange(4), np.array([True, False]), np.zeros(0), np.zeros((2, 0)),
+               np.zeros((0, 3), dtype=complex)]
+    for a in arrays:
+        assert rows(a) == rows(ser.plain(a).tolist()), a
+        payload = {"a": a, "b": [1, (a, {"c": a})], "d": None, "e": "x,y"}
+        for fmt in ("csv", "text"):
+            assert _render(payload, fmt) == _render(_render_reference(payload), fmt), (a, fmt)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.array([[1 + 1j, complex(2, bad)]])
+        for fmt in ("csv", "text"):
+            with pytest.raises(ValueError, match=f"^cannot serialize non-finite value {bad}$"):
+                _render({"a": a}, fmt)
+
+
+def _cli_process(cwd, *argv, code=""):
+    """``python -m qcc.cli argv`` in a fresh interpreter, after ``code``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = f"import runpy, sys\n{code}\nsys.argv = ['qcc'] + {list(argv)!r}\nrunpy.run_module('qcc.cli', run_name='__main__')"
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_the_program_exit_path_keeps_codes_and_output(tmp_path):
+    # Each exit code, a complete --out file and a complete piped stdout, from
+    # the same exit path as `python -m qcc.cli`.
+    build = ("build", "random", "-d", "5", "--kraus", "40", "--seed", "3")
+    out = _cli_process(tmp_path, *build, "--out", "a.json")
+    assert out.returncode == 0 and out.stdout == ""
+    text = (tmp_path / "a.json").read_text()
+    assert ser.channel_from_obj(json.loads(text)).kraus.shape == (40, 5, 5)
+    piped = _cli_process(tmp_path, *build)  # about 100 kB, more than a pipe holds
+    assert (piped.returncode, piped.stdout) == (0, text)
+
+    _cli_process(tmp_path, "build", "random", "-d", "5", "--kraus", "2", "--seed", "4", "--out", "b.json")
+    for argv, code in (
+        (("conjugate", "--in", "a.json", "--check-against", "b.json"), 3),
+        (("nu", "--in", "a.json", "-p", "0.5"), 2),
+        (("choi", "--in", "absent.json"), 4),
+        (("build", "identity", "-d", "2", "--out", str(tmp_path)), 4),
+    ):
+        assert _cli_process(tmp_path, *argv).returncode == code, argv
+
+
+def test_only_the_program_exit_path_freezes_the_heap(capsys, tmp_path):
+    import gc
+
+    before = gc.get_freeze_count()
+    code, out, _ = run_cli(capsys, "build", "depolarizing", "-d", "2", "-b", "0.3")
+    assert code == 0 and out
+    assert gc.get_freeze_count() == before
+
+    # The process exit path freezes, and atexit handlers still run after it.
+    probe = "import atexit, gc\natexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))"
+    run = _cli_process(tmp_path, "build", "identity", "-d", "2", "--out", "i.json", code=probe)
+    assert (run.returncode, run.stdout) == (0, "frozen True\n")
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert '\nqcc = "qcc.cli:run"\n' in pyproject

@@ -925,3 +925,51 @@ def test_optimizer_determinism():
     r2 = nu_p(ch, 2, OPTS)
     assert r1.value == r2.value
     assert np.array_equal(r1.optimizer_state, r2.optimizer_state)
+
+
+def _sample_spy(monkeypatch, n_samples):
+    """Records each eigensolver call on a stack of ``n_samples``, and each
+    ``_ascent_operator`` call there with its log-objective."""
+    solved, scored = [], []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, real=real, name=name, **kw):
+            if a.ndim == 3 and a.shape[0] == n_samples:
+                solved.append(name)
+            return real(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    real_op = purity._ascent_operator
+
+    def op(kern, m, p):
+        x, obj = real_op(kern, m, p)
+        if m.shape[0] == n_samples:
+            scored.append((kern, m, obj))
+        return x, obj
+
+    monkeypatch.setattr(purity, "_ascent_operator", op)
+    return solved, scored
+
+
+def test_sampled_nu_p_makes_no_eigensolve_of_the_samples_at_p_2_and_3(monkeypatch):
+    solved, scored = _sample_spy(monkeypatch, 1000)
+    rng = rng_from_seed(40)
+    for ch in (random_channel(rng, 3, 3, 3), random_channel(rng, 2, 4, 5)):
+        for p in (2, 3):
+            sampled_nu_p(ch, p, 1000, rng, FAST)
+            assert solved == [] and len(scored) == 1
+            scored.clear()
+
+
+def test_sampled_nu_p_scores_samples_by_their_output_p_norm(monkeypatch):
+    _, scored = _sample_spy(monkeypatch, 1000)
+    rng = rng_from_seed(41)
+    ch = random_channel(rng, 3, 4, 2)
+    for p in (1.5, 2, 3, math.inf):
+        scored.clear()
+        value = sampled_nu_p(ch, p, 1000, rng, FAST)
+        [(kern, m, obj)] = scored
+        w = np.clip(np.linalg.eigvalsh(kern.gram(m)), 0.0, None)
+        assert np.abs(np.exp(obj) - pnorm(w, p)).max() < 1e-12
+        assert value >= np.exp(obj).max() - 1e-15
