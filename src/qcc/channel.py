@@ -13,6 +13,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,21 +216,36 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     )
 
 
-def choi_eigenpairs(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
+def choi_eigenpairs(
+    choi: ChoiMatrix, check_rank: Callable[[int], None] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues above the relative cutoff ``DEFAULT_TOL``, non-increasing
     with the deterministic degenerate-basis convention of
     :func:`qcc.linalg.canonical_hermitian_eigh`, and their eigenvectors as
-    columns.  Raises ``ValueError`` when an eigenvalue is negative beyond
-    tolerance (not completely positive) or none is above the cutoff (zero).
+    columns.  Only the eigenspaces kept are canonicalized; the null space's
+    basis is never built.
+
+    Raises ``ValueError`` when an eigenvalue is negative beyond tolerance
+    (not completely positive) or none is above the cutoff (zero).  These
+    checks, and ``check_rank`` when given, run on the eigenvalues with the
+    Choi rank ``kappa`` before any eigenvector is canonicalized, so a caller
+    that refuses an oversized ``kappa`` pays for the eigensolve alone.
     """
-    w, v = canonical_hermitian_eigh(choi.gamma)
-    scale = max(float(np.abs(w).max()), 1e-300)
-    if w.min() < -DEFAULT_TOL * scale:
-        raise ValueError(f"Choi matrix is not PSD: eigenvalue {w.min():.3e}")
-    keep = w > DEFAULT_TOL * scale
-    if not keep.any():
-        raise ValueError("Choi matrix is numerically zero")
-    return w[keep], v[:, keep]
+
+    def rank(w: np.ndarray) -> int:
+        scale = max(float(np.abs(w).max()), 1e-300)
+        if w.min() < -DEFAULT_TOL * scale:
+            raise ValueError(f"Choi matrix is not PSD: eigenvalue {w.min():.3e}")
+        # w is non-increasing, so the eigenvalues kept are its first kappa.
+        kappa = int(np.count_nonzero(w > DEFAULT_TOL * scale))
+        if not kappa:
+            raise ValueError("Choi matrix is numerically zero")
+        if check_rank is not None:
+            check_rank(kappa)
+        return kappa
+
+    w, v = canonical_hermitian_eigh(choi.gamma, rank)
+    return w[: v.shape[1]], v
 
 
 def kraus_rank(ch: KrausChannel) -> int:

@@ -82,17 +82,20 @@ def conjugate_choi(choi: ChoiMatrix) -> ChoiMatrix:
 
     With ``kappa`` the Choi rank at the relative cutoff ``DEFAULT_TOL`` (see
     :func:`qcc.channel.choi_eigenpairs`), the result is ``(d_in kappa)^2``; a
-    ``ValueError`` is raised before it is formed when ``d_in kappa >
-    MAX_DIM^2``.
+    ``ValueError`` is raised when ``d_in kappa > MAX_DIM^2``, as soon as the
+    eigensolve gives ``kappa`` and before any eigenvector is canonicalized.
     """
-    lam, vecs = chn.choi_eigenpairs(choi)
-    kappa = lam.size
     d, dp = choi.d_in, choi.d_out
-    if d * kappa > MAX_DIM**2:
-        raise ValueError(
-            f"the conjugate's Choi matrix has dimension d_in * kappa = {d * kappa}, which "
-            f"exceeds the supported size ({MAX_DIM**2})"
-        )
+
+    def check_rank(kappa: int) -> None:
+        if d * kappa > MAX_DIM**2:
+            raise ValueError(
+                f"the conjugate's Choi matrix has dimension d_in * kappa = {d * kappa}, "
+                f"which exceeds the supported size ({MAX_DIM**2})"
+            )
+
+    lam, vecs = chn.choi_eigenpairs(choi, check_rank)
+    kappa = lam.size
     # Purification amplitudes T[a, c, b] = sqrt(lam_c) z_c[(a, b)].
     z = vecs.T.reshape(kappa, d, dp)
     t = np.sqrt(lam)[:, None, None] * z
@@ -113,14 +116,15 @@ def conjugate_channel(ch: KrausChannel, method: str = "kraus") -> KrausChannel:
     raise ValueError(f"unknown conjugation method {method!r}")
 
 
-def _matrix_unit_residual(ch1: KrausChannel, ch2: KrausChannel, w: np.ndarray) -> float:
-    """max_ab || ch1(E_ab) - W ch2(E_ab) W^+ ||_F."""
-    d = ch1.d_in
-    g1 = chn.kraus_to_choi(ch1).gamma
-    g2 = chn.kraus_to_choi(ch2).gamma
-    iw = np.kron(np.eye(d), w)
-    delta = d * (g1 - iw @ g2 @ dagger(iw))
-    blocks = delta.reshape(d, ch1.d_out, d, ch1.d_out)
+def _matrix_unit_residual(c1: ChoiMatrix, c2: ChoiMatrix, w: np.ndarray) -> float:
+    """max_ab || ch1(E_ab) - W ch2(E_ab) W^+ ||_F, read off the two channels'
+    Choi matrices: ``d_in (Gamma_1 - (I (x) W) Gamma_2 (I (x) W)^+)`` holds
+    ``ch1(E_ab) - W ch2(E_ab) W^+`` as its block ``(a, b)``."""
+    d, n1, n2 = c1.d_in, c1.d_out, c2.d_out
+    # I (x) W as the broadcast product np.kron forms, without its overhead.
+    iw = (np.eye(d)[:, None, :, None] * w[None, :, None, :]).reshape(d * n1, d * n2)
+    delta = d * (c1.gamma - iw @ c2.gamma @ dagger(iw))
+    blocks = delta.reshape(d, n1, d, n1)
     return float(
         max(
             np.linalg.norm(blocks[a, :, b, :])
@@ -151,9 +155,10 @@ def _stacked_ls_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray | 
     return wt.T
 
 
-def _intertwiner_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
+def _intertwiner_candidate(c1: ChoiMatrix, c2: ChoiMatrix) -> np.ndarray:
     """Least-squares solution ``T`` (unit norm) of ``A_ab T = T B_ab`` over
-    all matrix units, with ``A_ab = ch1(E_ab)`` and ``B_ab = ch2(E_ab)``.
+    all matrix units, with ``A_ab = ch1(E_ab)`` and ``B_ab = ch2(E_ab)`` read
+    off the Choi matrices ``c1`` and ``c2`` of the two channels.
 
     The stacked system ``R_ab = A_ab (x) I - I (x) B_ab^T`` acts on ``vec(T)``;
     its normal matrix ``G = sum_ab R_ab^+ R_ab`` is built straight from the
@@ -163,9 +168,9 @@ def _intertwiner_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
     is at most ``1e-10`` of the largest, a fixed generic combination of
     their eigenvectors.
     """
-    d, n1, n2 = ch1.d_in, ch1.d_out, ch2.d_out
-    a = d * chn.kraus_to_choi(ch1).gamma.reshape(d, n1, d, n1).transpose(0, 2, 1, 3)
-    b = d * chn.kraus_to_choi(ch2).gamma.reshape(d, n2, d, n2).transpose(0, 2, 1, 3)
+    d, n1, n2 = c1.d_in, c1.d_out, c2.d_out
+    a = d * c1.gamma.reshape(d, n1, d, n1).transpose(0, 2, 1, 3)
+    b = d * c2.gamma.reshape(d, n2, d, n2).transpose(0, 2, 1, 3)
     a_rows = a.reshape(d * d * n1, n1)  # the A_ab stacked on top of each other
     b_cols = b.transpose(2, 0, 1, 3).reshape(n2, d * d * n2)  # the B_ab side by side
     p = dagger(a_rows) @ a_rows
@@ -193,7 +198,9 @@ def _lifted_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
     ``A_mu = W B'_mu``.
     """
     u, _ = _snap_to_partial_isometry(
-        _intertwiner_candidate(conjugate_kraus(ch1), conjugate_kraus(ch2))
+        _intertwiner_candidate(
+            chn.kraus_to_choi(conjugate_kraus(ch1)), chn.kraus_to_choi(conjugate_kraus(ch2))
+        )
     )
     remixed = np.einsum("mn,nab->mab", u, ch2.kraus)
     return _stacked_ls_candidate(
@@ -234,16 +241,22 @@ def find_relating_isometry(
             f"relating the channels takes {min(direct, swapped)} unknowns and Choi "
             f"matrices of dimension {choi}, which exceeds the supported size ({MAX_DIM**2})"
         )
-    second = _intertwiner_candidate if direct <= swapped else _lifted_candidate
+    # Both channels' Choi matrices serve the direct intertwiner and every
+    # residual check, so they are formed once.
+    c1, c2 = chn.kraus_to_choi(ch1), chn.kraus_to_choi(ch2)
+
+    def candidates():
+        yield _stacked_ls_candidate(ch1, ch2)
+        yield _intertwiner_candidate(c1, c2) if direct <= swapped else _lifted_candidate(ch1, ch2)
+
     best: float | None = None
-    for candidate in (_stacked_ls_candidate, second):
-        raw = candidate(ch1, ch2)
+    for raw in candidates():
         if raw is None:
             continue
         w, rank = _snap_to_partial_isometry(raw)
         if rank == 0:
             continue
-        res = _matrix_unit_residual(ch1, ch2, w)
+        res = _matrix_unit_residual(c1, c2, w)
         if res < tol:
             return KrausRelation(w=w, rank=rank, residual=res)
         best = res if best is None else min(best, res)

@@ -113,12 +113,22 @@ def linearized_trace(x: np.ndarray, rho: np.ndarray, p: int) -> complex:
     return complex(np.trace(big @ x))
 
 
+def _times_left_shift(m: np.ndarray, p: int, d: int) -> np.ndarray:
+    """``m @ shift_operator(p, "left", d)`` as the digit rotation of ``m``'s
+    columns: column ``|k1 k2 ... kp>`` of the product is column
+    ``|k2 ... kp k1>`` of ``m``.  Exact, since multiplying by a 0/1
+    permutation rounds nothing."""
+    digits = m.reshape((m.shape[0],) + (d,) * p)
+    return digits.transpose([0, p] + list(range(1, p))).reshape(m.shape)
+
+
 def verify_gl_identity(ch: KrausChannel, p: int) -> tuple[float, float]:
     """Residuals of the two exact operator identities, with the conjugate
     built from the same Kraus list by the index swap (as the identities
     require): ``||omega - theta(conjugate)^+||_F`` and
-    ``||omega - theta L_p||_F``."""
+    ``||omega - theta L_p||_F``.  ``theta L_p`` is formed by permuting
+    theta's columns, not by a matrix product."""
     om = omega(ch, p)
     res1 = frobenius(om - dagger(theta(conjugate_kraus(ch), p)))
-    res2 = frobenius(om - theta(ch, p) @ shift_operator(p, "left", ch.d_in))
+    res2 = frobenius(om - _times_left_shift(theta(ch, p), p, ch.d_in))
     return res1, res2

@@ -9,6 +9,7 @@ backed by LAPACK through ``numpy.linalg``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,29 +53,42 @@ def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def canonical_hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`hermitian_eigh` but with a deterministic eigenbasis.
+def canonical_hermitian_eigh(
+    m: np.ndarray, count: Callable[[np.ndarray], int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Like :func:`hermitian_eigh` but with a deterministic eigenbasis, built
+    only for the leading eigenvectors the caller keeps.
+
+    ``count`` maps the eigenvalues (non-increasing) to the number ``k`` of
+    leading eigenvectors wanted.  It is called after the one eigensolve and
+    before any basis is built, so it may raise to refuse ``m`` at the cost of
+    the eigensolve alone.  Returns ``(w, v)``: all eigenvalues, and the
+    ``n x k`` columns of the first ``k`` eigenvectors.
 
     Degenerate eigenspaces (eigenvalues within ``1e-9`` relative to the
     spectral radius) are given a canonical basis by orthonormalising the
     projections of the standard basis vectors, taken in index order, onto the
     eigenspace.  Each vector's phase is fixed by making its first
-    significant entry real and positive.  The result depends only on ``m``,
-    not on backend-specific eigenvector choices.
+    significant entry real and positive.  An eigenspace that starts among the
+    first ``k`` is canonicalized whole before it is cut at ``k``, so column
+    ``i`` does not depend on ``k``; eigenspaces that start after it are never
+    canonicalized.  The result depends only on ``m``, not on
+    backend-specific eigenvector choices.
     """
     w, v = hermitian_eigh(m)
     n = m.shape[0]
+    k = count(w)
     scale = max(float(np.abs(w).max()), 1e-300) if n else 1.0
-    out = np.empty_like(v)
+    out = np.empty((n, k), dtype=v.dtype)
     i = 0
-    while i < n:
+    while i < k:
         j = i + 1
         while j < n and abs(w[j] - w[i]) <= 1e-9 * scale:
             j += 1
         block = v[:, i:j]
         if j - i > 1:
             block = _canonical_subspace_basis(block)
-        out[:, i:j] = _fix_phases(block)
+        out[:, i:min(j, k)] = _fix_phases(block[:, : k - i])
         i = j
     return w, out
 

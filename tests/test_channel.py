@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qcc import channel as chn
+from qcc import linalg
 from qcc.channel import KrausChannel
-from qcc.linalg import dagger, frobenius, partial_trace
+from qcc.conjugate import conjugate_kraus
+from qcc.linalg import DEFAULT_TOL, dagger, frobenius, partial_trace
 from qcc.pauli import build_basis, depolarizing_weights, pauli_channel
 from qcc.random import (
     haar_isometry,
@@ -118,6 +120,109 @@ def test_choi_to_kraus_rejects_non_cp():
     bad = chn.ChoiMatrix(d_in=2, d_out=2, gamma=gamma)
     with pytest.raises(ValueError):
         chn.choi_to_kraus(bad)
+
+
+def fully_canonical_eigenpairs(gamma):
+    """The Choi eigenpairs with every eigenspace canonicalized, the null
+    space included, and the kept columns selected afterwards."""
+    w, v = np.linalg.eigh(gamma)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    n = gamma.shape[0]
+    scale = max(float(np.abs(w).max()), 1e-300)
+    out = np.empty_like(v)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and abs(w[j] - w[i]) <= 1e-9 * scale:
+            j += 1
+        block = v[:, i:j]
+        if j - i > 1:
+            # Pivoted projection of the standard basis, in index order.
+            proj = block @ dagger(block)
+            basis = []
+            for k in range(n):
+                cand = proj[:, k].copy()
+                for b in basis:
+                    cand -= b * np.vdot(b, cand)
+                norm = np.linalg.norm(cand)
+                if norm > 1e-7:
+                    basis.append(cand / norm)
+                if len(basis) == j - i:
+                    break
+            block = np.column_stack(basis)
+        block = block.copy()
+        for k in range(block.shape[1]):
+            col = block[:, k]
+            idx = np.flatnonzero(np.abs(col) > 1e-8 * max(np.abs(col).max(), 1e-300))
+            anchor = col[idx[0]] if idx.size else 1.0
+            if abs(anchor) > 0:
+                block[:, k] = col * (abs(anchor) / anchor)
+        out[:, i:j] = block
+        i = j
+    keep = w > DEFAULT_TOL * scale
+    return w[keep], out[:, keep]
+
+
+def near_null_choi():
+    """A 12 x 12 Choi matrix whose smallest kept eigenvalue, 5e-10 of the
+    largest, lies within the 1e-9 degeneracy window of its 9-dimensional
+    null space: that eigenspace starts above the cutoff and reaches below."""
+    u = haar_unitary(12, rng_from_seed(31))
+    lam = np.array([0.6, 0.4 - 5e-10, 5e-10] + [0.0] * 9)
+    return chn.ChoiMatrix(d_in=3, d_out=4, gamma=(u * lam) @ dagger(u))
+
+
+def eigenpair_cases():
+    rng = rng_from_seed(30)
+    dep3 = pauli_channel(build_basis(3), depolarizing_weights(3, 0.4)).channel
+    return {
+        "conjugate of (5, 5, 25)": chn.kraus_to_choi(conjugate_kraus(random_channel(rng, 5, 5, 25))),
+        "conjugate of (4, 4, 16)": chn.kraus_to_choi(conjugate_kraus(random_channel(rng, 4, 4, 16))),
+        "depolarizing d=3": chn.kraus_to_choi(dep3),
+        "identity d=4": chn.kraus_to_choi(chn.identity_channel(4)),
+        "kept eigenvalue next to the null space": near_null_choi(),
+    }
+
+
+@pytest.mark.parametrize("name", list(eigenpair_cases()))
+def test_choi_eigenpairs_match_full_canonicalization_bit_for_bit(name):
+    choi = eigenpair_cases()[name]
+    lam, vecs = chn.choi_eigenpairs(choi)
+    ref_lam, ref_vecs = fully_canonical_eigenpairs(choi.gamma)
+    assert lam.shape == ref_lam.shape and vecs.shape == ref_vecs.shape
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+    if name == "kept eigenvalue next to the null space":
+        assert vecs.shape == (12, 3)
+
+
+def test_choi_eigenpairs_canonicalize_no_eigenspace_that_starts_below_the_cutoff(monkeypatch):
+    seen = []
+    inner = linalg._canonical_subspace_basis
+
+    def spy(block):
+        seen.append(block)
+        return inner(block)
+
+    monkeypatch.setattr(linalg, "_canonical_subspace_basis", spy)
+    widths = {}
+    for name, choi in eigenpair_cases().items():
+        seen.clear()
+        chn.choi_eigenpairs(choi)
+        w = np.linalg.eigvalsh(choi.gamma)
+        cutoff = DEFAULT_TOL * np.abs(w).max()
+        # Each block's first column is the eigenvector the eigenspace starts at.
+        assert all(np.vdot(b[:, 0], choi.gamma @ b[:, 0]).real > cutoff for b in seen), name
+        widths[name] = [b.shape[1] for b in seen]
+    # Only degenerate kept eigenspaces: dep3's 8-fold one, and the near-null
+    # eigenvalue's, which takes the null space with it.
+    assert widths == {
+        "conjugate of (5, 5, 25)": [],
+        "conjugate of (4, 4, 16)": [],
+        "depolarizing d=3": [8],
+        "identity d=4": [],
+        "kept eigenvalue next to the null space": [10],
+    }
 
 
 def test_kraus_rank():

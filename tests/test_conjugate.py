@@ -3,9 +3,10 @@ import pytest
 
 from qcc import channel as chn
 from qcc import conjugate as conj
+from qcc import linalg
 from qcc.channel import KrausChannel
 from qcc.linalg import dagger, frobenius, partial_trace
-from qcc.pauli import build_basis, pauli_channel
+from qcc.pauli import build_basis, depolarizing_weights, pauli_channel
 from qcc.purity import spectrum_pair_check
 from qcc.random import haar_state, haar_unitary, random_density, random_kraus_operators, rng_from_seed
 
@@ -110,6 +111,28 @@ def test_conjugate_choi_noisy_marginal_and_rank():
     marg = partial_trace(gamma_ac.gamma, (2, gamma_ac.d_out), "A")
     assert abs(np.trace(marg) - 1.0) < 1e-12
     assert frobenius(gamma_ac.input_marginal() - np.eye(2) / 2) < 1e-12
+
+
+def test_conjugate_choi_refuses_an_oversized_rank_before_building_a_basis(monkeypatch):
+    # Depolarizing d = 11 has Choi rank 121, so d_in * kappa = 1331 > 1024,
+    # and its kept spectrum holds a 120-fold degenerate eigenspace.
+    dep = pauli_channel(build_basis(11), depolarizing_weights(11, 0.5)).channel
+    choi = chn.kraus_to_choi(dep)
+    calls = []
+    inner = linalg._canonical_subspace_basis
+    monkeypatch.setattr(
+        linalg, "_canonical_subspace_basis", lambda block: calls.append(block.shape) or inner(block)
+    )
+    with pytest.raises(ValueError) as info:
+        conj.conjugate_choi(choi)
+    assert str(info.value) == (
+        "the conjugate's Choi matrix has dimension d_in * kappa = 1331, "
+        "which exceeds the supported size (1024)"
+    )
+    assert calls == []
+    # The eigenspace is canonicalized when the route goes ahead.
+    chn.choi_eigenpairs(choi)
+    assert calls == [(121, 120)]
 
 
 def test_conjugate_ancilla_exactly_matches_kraus_swap():
@@ -303,3 +326,48 @@ def test_find_relating_isometry_refuses_oversized_systems():
     a, b = conj.conjugate_kraus(ch), conj.conjugate_channel(ch, "ancilla")
     with pytest.raises(ValueError, match="exceeds the supported size"):
         conj.find_relating_isometry(a, b)
+
+
+def kron_matrix_unit_residual(ch1, ch2, w):
+    """max_ab ||ch1(E_ab) - W ch2(E_ab) W^+||_F through np.kron(I, W)."""
+    d = ch1.d_in
+    g1 = chn.kraus_to_choi(ch1).gamma
+    g2 = chn.kraus_to_choi(ch2).gamma
+    iw = np.kron(np.eye(d), w)
+    delta = d * (g1 - iw @ g2 @ dagger(iw))
+    blocks = delta.reshape(d, ch1.d_out, d, ch1.d_out)
+    return float(max(np.linalg.norm(blocks[a, :, b, :]) for a in range(d) for b in range(d)))
+
+
+def test_matrix_unit_residual_equals_the_kron_formula_exactly():
+    rng = rng_from_seed(18)
+    for shape in ((3, 4, 5), (2, 2, 3), (4, 4, 16), (2, 6, 2)):
+        ch = random_channel(rng, *shape)
+        routes = {m: conj.conjugate_channel(ch, m) for m in ("kraus", "choi", "ancilla")}
+        for a, b in (("kraus", "choi"), ("choi", "ancilla"), ("ancilla", "kraus")):
+            c1, c2 = routes[a], routes[b]
+            rel = conj.find_relating_isometry(c1, c2)
+            generic = rng.normal(size=rel.w.shape) + 1j * rng.normal(size=rel.w.shape)
+            for w in (rel.w, generic):
+                got = conj._matrix_unit_residual(chn.kraus_to_choi(c1), chn.kraus_to_choi(c2), w)
+                assert got == kron_matrix_unit_residual(c1, c2, w), (shape, a, b)
+            assert rel.residual == kron_matrix_unit_residual(c1, c2, rel.w)
+
+
+def test_find_relating_isometry_forms_each_choi_matrix_once(monkeypatch):
+    # (2, 6, 2): the kraus/choi pair is related by the direct intertwiner.
+    # (3, 4, 5): it is lifted from the Kraus-swapped pair, whose two Choi
+    # matrices are formed too.
+    calls = []
+    inner = chn.kraus_to_choi
+    monkeypatch.setattr(chn, "kraus_to_choi", lambda ch: calls.append(ch) or inner(ch))
+    rng = rng_from_seed(19)
+    for shape, expected in (((2, 6, 2), 2), ((3, 4, 5), 4)):
+        ch = random_channel(rng, *shape)
+        c1 = conj.conjugate_kraus(ch)
+        c2 = chn.choi_to_kraus(conj.conjugate_choi(inner(ch)))
+        calls.clear()
+        rel = conj.find_relating_isometry(c1, c2)
+        assert rel.residual < 1e-8
+        assert len(calls) == expected, shape
+        assert calls[:2] == [c1, c2]

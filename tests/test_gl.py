@@ -199,3 +199,34 @@ def test_theta_rejects_oversized_requests():
     ch = random_channel(rng, 5, 5, 2)
     with pytest.raises(ValueError):
         gl.theta(ch, 4)  # 5^4 = 625 exceeds the guard
+
+
+def test_theta_times_left_shift_is_the_column_rotation_at_every_size():
+    # Every (d, p) within the caps, d^p <= 256 and p <= 4, on the theta of a
+    # channel with generic complex Kraus operators (theta needs no TP).
+    rng = rng_from_seed(9)
+    for p in range(1, gl.MAX_P + 1):
+        d = 1
+        while d**p <= gl.MAX_TOTAL_DIM:
+            ops = rng.normal(size=(2, 2, d)) + 1j * rng.normal(size=(2, 2, d))
+            th = gl.theta(KrausChannel(d_in=d, d_out=2, kraus=ops), p)
+            assert np.array_equal(
+                gl._times_left_shift(th, p, d), th @ gl.shift_operator(p, "left", d)
+            ), (d, p)
+            d += 1
+
+
+def test_verify_gl_identity_forms_no_shift_matrix(monkeypatch):
+    ch = random_channel(rng_from_seed(10), 3, 2, 3)
+    expected = gl.verify_gl_identity(ch, 3)
+    sizes = []
+    real = gl.shift_operator
+
+    def spy(p, direction, d):
+        sizes.append(d)
+        return real(p, direction, d)
+
+    monkeypatch.setattr(gl, "shift_operator", spy)
+    assert gl.verify_gl_identity(ch, 3) == expected
+    # omega's shift on the output factors is the only one built.
+    assert sizes == [ch.d_out]
