@@ -28,11 +28,6 @@ from .linalg import (
     partial_trace,
 )
 
-#: Frobenius distance between Choi matrices below which two channels are
-#: considered equal (scale-free at desk-scale dimensions).
-CHANNEL_EQ_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class KrausChannel:
     """A channel as an ordered stack of Kraus operators.
@@ -289,31 +284,6 @@ def choi_distance(ch1: KrausChannel, ch2: KrausChannel) -> float:
     if (ch1.d_in, ch1.d_out) != (ch2.d_in, ch2.d_out):
         raise ValueError("channels act between different spaces")
     return frobenius(kraus_to_choi(ch1).gamma - kraus_to_choi(ch2).gamma)
-
-
-def relate_kraus_sets(f: KrausChannel, g: KrausChannel) -> KrausRelation:
-    """Mixing matrix ``W`` with ``F_j = sum_k w_jk G_k`` for a minimal ``G``.
-
-    ``g`` must be a minimal Kraus list (e.g. from :func:`choi_to_kraus`),
-    whose vectorized operators are orthogonal; the coefficients are then
-    plain projections.  Both lists must represent the same channel (Choi
-    distance below ``CHANNEL_EQ_TOL``).
-    """
-    dist = choi_distance(f, g)
-    if dist >= CHANNEL_EQ_TOL:
-        raise ValueError(f"Kraus lists represent different channels (Choi distance {dist:.3e})")
-    gv = g.kraus.reshape(g.n_kraus, -1)
-    fv = f.kraus.reshape(f.n_kraus, -1)
-    norms = np.einsum("ki,ki->k", gv.conj(), gv).real
-    w = (fv @ dagger(gv)) / norms[None, :]
-    recon = np.einsum("jk,kab->jab", w, g.kraus)
-    residual = float(np.abs(recon - f.kraus).max())
-    wtw = dagger(w) @ w
-    proj_resid = frobenius(wtw @ wtw - wtw)
-    rank = int(round(np.trace(wtw).real))
-    if proj_resid > 1e-8:
-        raise ValueError(f"relating matrix is not a partial isometry ({proj_resid:.3e})")
-    return KrausRelation(w=w, rank=rank, residual=residual)
 
 
 def tensor(ch1: KrausChannel, ch2: KrausChannel) -> KrausChannel:

@@ -98,16 +98,10 @@ def _load_pauli(path: str) -> PauliDiagonalChannel:
     return pauli_from_obj(_read_json(path))
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    from .serialize import decode_matrix
+def _load_array(path: str, ndim: int) -> np.ndarray:
+    from .serialize import complex_array
 
-    return decode_matrix(_read_json(path))
-
-
-def _load_vector(path: str) -> np.ndarray:
-    from .serialize import decode_vector
-
-    return decode_vector(_read_json(path))
+    return complex_array(_read_json(path), ndim)
 
 
 # ------------------------------------------------------------------ emitters
@@ -350,7 +344,7 @@ def cmd_apply(args) -> tuple[dict, int]:
     from .channel import apply
 
     ch = _load_channel(args.infile)
-    rho = _load_matrix(args.state)
+    rho = _load_array(args.state, 2)
     return {"matrix": apply(ch, rho)}, EXIT_OK
 
 
@@ -434,7 +428,7 @@ def cmd_pauli(args) -> tuple[dict, int]:
         return _report("pauli lambda", args, {"d": ch.d, "lambda": lam}), EXIT_OK
     if sub == "ncimage":
         basis = _basis_for(args)
-        rho = _load_matrix(args.state)
+        rho = _load_array(args.state, 2)
         if args.explicit:
             psi = _principal_vector(rho)
             gamma = pmod.nc_image_explicit(basis, psi)
@@ -466,7 +460,7 @@ def cmd_pauli(args) -> tuple[dict, int]:
         return _report("pauli bound", args, results), EXIT_OK
     if sub == "subgroup":
         basis = _basis_for(args)
-        rho = _load_matrix(args.state)
+        rho = _load_array(args.state, 2)
         rep = pmod.subgroup_of_support(basis, rho, tol=args.tol)
         results = {
             "generators": rep.generator_indices,
@@ -478,7 +472,7 @@ def cmd_pauli(args) -> tuple[dict, int]:
     # classify
     b = pmod.build_basis(args.dim)
     basis = pmod.product_basis(b, b)
-    psi = _load_vector(args.state)
+    psi = _load_array(args.state, 1)
     res = pmod.classify_product_or_me(basis, psi, tol=args.tol)
     results = {
         "d2_decomposable": res.d2_decomposable,

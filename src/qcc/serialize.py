@@ -6,6 +6,7 @@ each Kraus operator is a row-major array of rows and each scalar a two-element
 Floats are printed with 17 significant digits so every value round-trips.
 :func:`dumps` writes a numpy array as the nested list :func:`plain` makes of
 it: a real array as its numbers, a complex one with ``[re, im]`` entries.
+:func:`complex_array` reads such a complex array back.
 """
 
 from __future__ import annotations
@@ -100,51 +101,53 @@ def finite_values(a: np.ndarray) -> tuple:
     return tuple(flat.tolist())
 
 
-def _finite_number(t) -> bool:
-    """A JSON number that converts to a finite double."""
+_BAD_PAIR = "complex scalar must be a finite [re, im] pair"
+
+
+def _finite_reals(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is a finite JSON number, ``true`` and
+    ``false`` read as 1 and 0.  A string, a null or an integer beyond 64 bits
+    in the lists ``a`` was made from gives it another dtype kind."""
+    return a.dtype.kind in "biuf" and bool(np.isfinite(a).all())
+
+
+def complex_array(obj, ndim: int) -> np.ndarray:
+    """The complex array with ``ndim`` axes that :func:`plain` writes as ``obj``.
+
+    ``obj`` must nest lists of equal lengths down to ``[re, im]`` pairs of
+    finite numbers.  It becomes one array in one ``np.array`` call, so no
+    entry costs a Python call, and the pairs are reinterpreted in place as
+    complex numbers, which keeps every bit, the sign of ``-0.0`` included.
+    A refusal names what the shape shows: an axis too many or too few, rows
+    of unequal lengths, matrices with unequal numbers of rows (only a
+    channel file's Kraus stack has an axis above its matrices), or an entry
+    that is not a finite pair.
+    """
     try:
-        return isinstance(t, (int, float)) and math.isfinite(float(t))
-    except OverflowError:
-        return False
-
-
-def decode_complex(obj) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(_finite_number(t) for t in obj)
-    ):
-        raise ValueError(f"complex scalar must be a finite [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
-
-
-def _nested(obj) -> bool:
-    """Whether ``obj`` is a list whose first entry is itself a list."""
-    return isinstance(obj, list) and bool(obj) and isinstance(obj[0], list)
-
-
-def decode_vector(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("vector must be a non-empty array of [re, im] pairs")
-    if all(_nested(e) for e in obj):
+        a = np.array(obj)
+    except ValueError:  # lists of unequal lengths: the object array stops above them
+        uneven = np.array(obj, dtype=object).ndim
+        if uneven >= ndim:
+            raise ValueError(_BAD_PAIR) from None
+        if uneven == ndim - 1:
+            raise ValueError("matrix rows have inconsistent lengths") from None
+        raise ValueError("every Kraus operator must be d_out x d_in") from None
+    if not a.ndim or not a.size:
         raise ValueError(
-            f"expected a vector of [re, im] pairs, got a matrix with {len(obj)} rows"
+            "vector must be a non-empty array of [re, im] pairs"
+            if ndim == 1 else "matrix must be a non-empty array of rows"
         )
-    return np.array([decode_complex(e) for e in obj])
-
-
-def decode_matrix(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("matrix must be a non-empty array of rows")
-    if not any(_nested(r) for r in obj):
+    if a.ndim > ndim + 1:
         raise ValueError(
-            f"expected a matrix of rows of [re, im] pairs, got a vector of length {len(obj)}"
+            f"expected a vector of [re, im] pairs, got a matrix with {a.shape[ndim - 1]} rows"
         )
-    rows = [decode_vector(r) for r in obj]
-    width = rows[0].size
-    if any(r.size != width for r in rows):
-        raise ValueError("matrix rows have inconsistent lengths")
-    return np.stack(rows)
+    if a.ndim == ndim > 1:
+        raise ValueError(
+            f"expected a matrix of rows of [re, im] pairs, got a vector of length {a.shape[-2]}"
+        )
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or not _finite_reals(a):
+        raise ValueError(_BAD_PAIR)
+    return np.ascontiguousarray(a, float).view(np.complex128)[..., 0]
 
 
 def channel_to_obj(ch: KrausChannel) -> dict:
@@ -163,10 +166,10 @@ def channel_from_obj(obj) -> KrausChannel:
         raise ValueError("d_in and d_out must be positive integers")
     if not isinstance(obj["kraus"], list) or not obj["kraus"]:
         raise ValueError("kraus must be a non-empty array of matrices")
-    ops = [decode_matrix(f) for f in obj["kraus"]]
-    if any(f.shape != (d_out, d_in) for f in ops):
+    kraus = complex_array(obj["kraus"], 3)
+    if kraus.shape[1:] != (d_out, d_in):
         raise ValueError("every Kraus operator must be d_out x d_in")
-    return KrausChannel(d_in=d_in, d_out=d_out, kraus=np.stack(ops))
+    return KrausChannel(d_in=d_in, d_out=d_out, kraus=kraus)
 
 
 def choi_to_obj(choi: ChoiMatrix) -> dict:
@@ -211,14 +214,13 @@ def pauli_from_obj(obj) -> PauliDiagonalChannel:
             raise ValueError(f"product of {dims} has dimension {basis.d}, not {d}")
     else:
         raise ValueError(f"unknown basis tag {tag!r}")
-    weights = obj["weights"]
-    if (
-        not isinstance(weights, list)
-        or len(weights) != d * d
-        or not all(_finite_number(w) for w in weights)
-    ):
+    try:
+        weights = np.array(obj["weights"])
+    except ValueError:  # lists of unequal lengths
+        weights = None
+    if weights is None or weights.shape != (d * d,) or not _finite_reals(weights):
         raise ValueError(f"weights must be a flat array of {d * d} finite doubles")
-    return pauli_channel(basis, np.array(weights, dtype=float))
+    return pauli_channel(basis, weights.astype(float))
 
 
 def ebt_to_obj(ch: EBTChannel) -> dict:
@@ -230,8 +232,8 @@ def ebt_from_obj(obj) -> EBTChannel:
         raise ValueError("EBT JSON needs x and w vector lists")
     from .ebt import ebt_channel
 
-    xs = [decode_vector(v) for v in obj["x"]]
-    ws = [decode_vector(v) for v in obj["w"]]
+    xs = [complex_array(v, 1) for v in obj["x"]]
+    ws = [complex_array(v, 1) for v in obj["w"]]
     # The caps of ``build ebt``, checked before completeness forms an outer product.
     d_in, d_out = (max((v.size for v in vs), default=0) for vs in (ws, xs))
     n = max(len(xs), len(ws))

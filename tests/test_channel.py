@@ -4,7 +4,7 @@ import pytest
 from qcc import channel as chn
 from qcc import linalg
 from qcc.channel import KrausChannel
-from qcc.conjugate import conjugate_kraus
+from qcc.conjugate import conjugate_kraus, find_relating_isometry
 from qcc.linalg import DEFAULT_TOL, dagger, frobenius, partial_trace
 from qcc.pauli import build_basis, depolarizing_weights, pauli_channel
 from qcc.random import (
@@ -267,15 +267,23 @@ def test_ancilla_representation():
     assert chn.choi_distance(chn.ancilla_to_kraus(rep), ch) < 1e-12
 
 
+def _relate_kraus_sets(f: KrausChannel, g: KrausChannel):
+    """The partial isometry ``W`` relating the Kraus-swapped conjugates of
+    ``f`` and ``g``, and the largest entry of ``F_j - sum_k w_jk G_k``."""
+    rel = find_relating_isometry(conjugate_kraus(f), conjugate_kraus(g))
+    recon = np.einsum("jk,kab->jab", rel.w, g.kraus)
+    return rel, float(np.abs(recon - f.kraus).max())
+
+
 def test_relate_kraus_sets():
     rng = rng_from_seed(8)
     ch = random_channel(rng, 2, 3, 3)
     minimal = chn.choi_to_kraus(chn.kraus_to_choi(ch))
-    self_rel = chn.relate_kraus_sets(minimal, minimal)
+    self_rel, _ = _relate_kraus_sets(minimal, minimal)
     assert np.abs(self_rel.w - np.eye(minimal.n_kraus)).max() < 1e-10
 
-    rel = chn.relate_kraus_sets(ch, minimal)
-    assert rel.residual < 1e-10
+    rel, residual = _relate_kraus_sets(ch, minimal)
+    assert residual < 1e-10 and rel.residual < 1e-10
     wtw = dagger(rel.w) @ rel.w
     assert frobenius(wtw - np.eye(minimal.n_kraus)) < 1e-8
 
@@ -283,13 +291,13 @@ def test_relate_kraus_sets():
     mix = haar_isometry(5, minimal.n_kraus, rng)
     mixed_ops = np.einsum("jk,kab->jab", mix, minimal.kraus)
     mixed = KrausChannel(d_in=2, d_out=3, kraus=mixed_ops)
-    rel = chn.relate_kraus_sets(mixed, minimal)
-    assert rel.residual < 1e-10
+    rel, residual = _relate_kraus_sets(mixed, minimal)
+    assert residual < 1e-10 and rel.residual < 1e-10
     assert np.abs(rel.w - mix).max() < 1e-8
 
     padded = KrausChannel.from_operators(list(minimal.kraus) + [np.zeros((3, 2))])
-    rel = chn.relate_kraus_sets(padded, minimal)
-    assert rel.residual < 1e-10
+    rel, residual = _relate_kraus_sets(padded, minimal)
+    assert residual < 1e-10 and rel.residual < 1e-10
     assert np.abs(rel.w[-1]).max() < 1e-10
 
 
@@ -298,7 +306,7 @@ def test_relate_kraus_sets_rejects_different_channels():
     a = random_channel(rng, 2, 2, 3)
     b = random_channel(rng, 2, 2, 3)
     with pytest.raises(ValueError):
-        chn.relate_kraus_sets(a, chn.choi_to_kraus(chn.kraus_to_choi(b)))
+        _relate_kraus_sets(a, chn.choi_to_kraus(chn.kraus_to_choi(b)))
 
 
 def test_tensor_channel():

@@ -73,6 +73,24 @@ def test_channel_json_round_trip_fixed_point():
     assert text2 == text
 
 
+def test_negative_zero_keeps_its_sign_through_a_read_and_a_write():
+    # -0.0 in either part of a pair, beside 1.0 and -0.0 in the other: the
+    # construction re + 1j * im would turn some of these -0.0 into 0.0.  The
+    # files are written by the json module, which spells -0.0 out; qcc's own
+    # writer prints "-0", which JSON readers take for the integer 0.
+    u = [[-0.0, 1.0], [-0.0, -0.0]]
+    v = [[-0.0, -0.0], [1.0, -0.0]]
+    files = [
+        (ser.channel_from_obj, ser.channel_to_obj, {"d_in": 2, "d_out": 2, "kraus": [[u, v]]}),
+        (lambda obj: ser.complex_array(obj, 2), lambda a: a, [u, v]),
+        (ser.ebt_from_obj, ser.ebt_to_obj, {"x": [u, v], "w": [u, v]}),
+    ]
+    for read, to_obj, obj in files:
+        back = read(json.loads(json.dumps(obj)))
+        # dumps prints -0.0 as "-0" and 0.0 as "0", so equal text keeps every sign.
+        assert ser.dumps(to_obj(back), indent=2) == ser.dumps(obj, indent=2)
+
+
 def test_channel_json_field_order():
     ch = chn.identity_channel(2)
     obj = ser.channel_to_obj(ch)
@@ -85,7 +103,7 @@ def test_malformed_channel_json_is_rejected():
     with pytest.raises(ValueError):
         ser.channel_from_obj({"d_in": 2, "d_out": 2, "kraus": [[[[1, 0]]]]})
     with pytest.raises(ValueError):
-        ser.decode_matrix([[[1, 0], [0, 0]], [[1, 0]]])
+        ser.complex_array([[[1, 0], [0, 0]], [[1, 0]]], 2)
 
 
 def test_pauli_json_round_trip():
@@ -274,12 +292,12 @@ def test_apply_and_choi_commands(capsys, tmp_path):
     state.write_text(json.dumps([[[0.75, 0], [0, 0]], [[0, 0], [0.25, 0]]]))
     code, out, _ = run_cli(capsys, "apply", "--in", str(path), "--state", str(state))
     assert code == 0
-    got = ser.decode_matrix(json.loads(out)["matrix"])
+    got = ser.complex_array(json.loads(out)["matrix"], 2)
     assert np.abs(got - np.diag([0.75, 0.25])).max() < 1e-15
 
     code, out, _ = run_cli(capsys, "choi", "--in", str(path))
     assert code == 0
-    gamma = ser.decode_matrix(json.loads(out)["gamma"])
+    gamma = ser.complex_array(json.loads(out)["gamma"], 2)
     phi = np.zeros(4)
     phi[0] = phi[3] = 1 / np.sqrt(2)
     assert np.abs(gamma - np.outer(phi, phi)).max() < 1e-12
@@ -309,7 +327,7 @@ def test_pauli_subcommands(capsys, tmp_path):
     run_cli(capsys, "build", "depolarizing", "-d", "3", "-b", "0.5", "--pauli-json", "--out", str(dep))
     code, out, _ = run_cli(capsys, "pauli", "lambda", "--in", str(dep))
     assert code == 0
-    lam = ser.decode_vector(json.loads(out)["results"]["lambda"])
+    lam = ser.complex_array(json.loads(out)["results"]["lambda"], 1)
     assert abs(lam[0] - 1.0) < 1e-12 and np.abs(lam[1:] - 0.5).max() < 1e-12
 
     code, out, _ = run_cli(capsys, "pauli", "bound", "--in", str(dep), "-p", "inf")
@@ -454,7 +472,7 @@ def test_csv_and_text_formats(capsys, tmp_path):
 def test_non_finite_input_is_rejected(capsys, tmp_path):
     for bad in ("NaN", "Infinity", "-Infinity"):
         with pytest.raises(ValueError):
-            ser.decode_complex([float(bad), 0.0])
+            ser.complex_array([float(bad), 0.0], 0)
         path = tmp_path / f"ch_{bad}.json"
         path.write_text(
             '{"d_in": 1, "d_out": 1, "kraus": [[[[%s, 0]]]]}' % bad, encoding="utf-8"
@@ -796,9 +814,13 @@ MATRIX2 = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
          "expected a matrix of rows of [re, im] pairs, got a vector of length 3"),
         (["apply", "--in", "CHANNEL"], VECTOR3,
          "expected a matrix of rows of [re, im] pairs, got a vector of length 3"),
+        (["apply", "--in", "CHANNEL"], [[[1, 0], [0, 0]], [[0, 0]]],
+         "matrix rows have inconsistent lengths"),
+        (["pauli", "subgroup", "-d", "2"], [[[0.5, 0]], [[0, 0], [0.5, 0]]],
+         "matrix rows have inconsistent lengths"),
     ],
     ids=["classify-short-vector", "classify-matrix", "subgroup-vector", "ncimage-vector",
-         "apply-vector"],
+         "apply-vector", "apply-unequal-rows", "subgroup-unequal-rows"],
 )
 def test_state_files_of_the_wrong_kind_name_what_was_expected(capsys, tmp_path, argv, state, message):
     channel = tmp_path / "id.json"
@@ -843,6 +865,10 @@ def test_pauli_ncimage_explicit_refuses_what_is_not_a_pure_state(capsys, tmp_pat
     assert err == f"error: {message}\n"
 
 
+def _kraus_obj(kraus, d_in=1, d_out=1):
+    return {"d_in": d_in, "d_out": d_out, "kraus": kraus}
+
+
 def _pauli_obj(d, basis, n_weights=None):
     n = d * d if n_weights is None else n_weights
     return {"d": d, "basis": basis, "weights": [1 / n] * n}
@@ -877,11 +903,28 @@ def _pauli_obj(d, basis, n_weights=None):
          "EBT d_out 33 exceeds the supported size (d_out <= 32)"),
         (["ebt", "conjugate"], {"x": [[[1, 0]]] * 1025, "w": [[[1, 0]]] * 1025},
          "EBT n 1025 exceeds the supported size (n <= 1024)"),
+        # Entries and pairs that are not finite [re, im] numbers.
+        (["choi"], _kraus_obj([[[["1", 0]]]]), "complex scalar must be a finite [re, im] pair"),
+        (["choi"], _kraus_obj([[[[None, 0]]]]), "complex scalar must be a finite [re, im] pair"),
+        (["choi"], _kraus_obj([[[[1]]]]), "complex scalar must be a finite [re, im] pair"),
+        (["choi"], _kraus_obj([[[[1, 0, 0]]]]), "complex scalar must be a finite [re, im] pair"),
+        (["choi"], _kraus_obj([[[[1, 0], [0]]]], d_in=2),
+         "complex scalar must be a finite [re, im] pair"),
+        (["ebt", "conjugate"], {"x": [[["1", 0]]], "w": [[[1, 0]]]},
+         "complex scalar must be a finite [re, im] pair"),
+        (["choi"], _kraus_obj([[[[1, 0], [0, 0]], [[0, 0]]]], d_in=2, d_out=2),
+         "matrix rows have inconsistent lengths"),
+        (["choi"], _kraus_obj([[[[1, 0]]], [[[1, 0]], [[0, 0]]]]),
+         "every Kraus operator must be d_out x d_in"),
+        (["pauli", "lambda"], {"d": 2, "basis": "pauli", "weights": ["0.25", 0.25, 0.25, 0.25]},
+         "weights must be a flat array of 4 finite doubles"),
     ],
     ids=["channel-not-object", "kraus-not-array", "not-trace-preserving", "pauli-missing-field",
          "pauli-d-below-2", "tag-unparsable", "tag-one-factor", "tag-mis-sized", "tag-unknown",
          "ebt-missing-w", "entry-beyond-double", "ebt-d-in-beyond-cap", "ebt-d-out-beyond-cap",
-         "ebt-n-beyond-cap"],
+         "ebt-n-beyond-cap", "entry-numeric-string", "entry-null", "pair-of-one", "pair-of-three",
+         "pair-of-one-among-pairs", "ebt-entry-numeric-string", "kraus-unequal-rows",
+         "kraus-unequal-heights", "pauli-weight-string"],
 )
 def test_malformed_input_files_are_rejected(capsys, tmp_path, command, obj, message):
     path = tmp_path / "bad.json"
