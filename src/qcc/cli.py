@@ -83,7 +83,10 @@ def _report(command: str, args, results: dict, checks=None) -> dict:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:  # json.load recurses once per nesting level
+            raise ValueError("JSON input nests too deeply") from exc
 
 
 def _load_channel(path: str) -> KrausChannel:

@@ -116,13 +116,19 @@ def conjugate_channel(ch: KrausChannel, method: str = "kraus") -> KrausChannel:
     raise ValueError(f"unknown conjugation method {method!r}")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as the broadcast product it forms, with
+    the same bits and without its overhead."""
+    (r1, c1), (r2, c2) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
+
+
 def _matrix_unit_residual(c1: ChoiMatrix, c2: ChoiMatrix, w: np.ndarray) -> float:
     """max_ab || ch1(E_ab) - W ch2(E_ab) W^+ ||_F, read off the two channels'
     Choi matrices: ``d_in (Gamma_1 - (I (x) W) Gamma_2 (I (x) W)^+)`` holds
     ``ch1(E_ab) - W ch2(E_ab) W^+`` as its block ``(a, b)``."""
-    d, n1, n2 = c1.d_in, c1.d_out, c2.d_out
-    # I (x) W as the broadcast product np.kron forms, without its overhead.
-    iw = (np.eye(d)[:, None, :, None] * w[None, :, None, :]).reshape(d * n1, d * n2)
+    d, n1 = c1.d_in, c1.d_out
+    iw = _kron(np.eye(d), w)
     delta = d * (c1.gamma - iw @ c2.gamma @ dagger(iw))
     blocks = delta.reshape(d, n1, d, n1)
     return float(
@@ -155,18 +161,13 @@ def _stacked_ls_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray | 
     return wt.T
 
 
-def _intertwiner_candidate(c1: ChoiMatrix, c2: ChoiMatrix) -> np.ndarray:
-    """Least-squares solution ``T`` (unit norm) of ``A_ab T = T B_ab`` over
-    all matrix units, with ``A_ab = ch1(E_ab)`` and ``B_ab = ch2(E_ab)`` read
-    off the Choi matrices ``c1`` and ``c2`` of the two channels.
+def _intertwiner_normal_matrix(c1: ChoiMatrix, c2: ChoiMatrix) -> np.ndarray:
+    """Normal matrix ``G = sum_ab R_ab^+ R_ab`` of the stacked system
+    ``R_ab = A_ab (x) I - I (x) B_ab^T`` on ``vec(T)``, with ``A_ab = ch1(E_ab)``
+    and ``B_ab = ch2(E_ab)`` read off the Choi matrices ``c1`` and ``c2``.
 
-    The stacked system ``R_ab = A_ab (x) I - I (x) B_ab^T`` acts on ``vec(T)``;
-    its normal matrix ``G = sum_ab R_ab^+ R_ab`` is built straight from the
-    Choi blocks as ``P (x) I + I (x) Q - C - C^+`` with ``P = sum A^+ A``,
-    ``Q = sum conj(B) B^T`` and ``C = sum A^+ (x) B^T``.  ``T`` is the
-    eigenvector of its lowest eigenvalue, or, when more than one eigenvalue
-    is at most ``1e-10`` of the largest, a fixed generic combination of
-    their eigenvectors.
+    It is built straight from the Choi blocks as ``P (x) I + I (x) Q - C - C^+``
+    with ``P = sum A^+ A``, ``Q = sum conj(B) B^T`` and ``C = sum A^+ (x) B^T``.
     """
     d, n1, n2 = c1.d_in, c1.d_out, c2.d_out
     a = d * c1.gamma.reshape(d, n1, d, n1).transpose(0, 2, 1, 3)
@@ -177,8 +178,18 @@ def _intertwiner_candidate(c1: ChoiMatrix, c2: ChoiMatrix) -> np.ndarray:
     q = (b_cols @ dagger(b_cols)).conj()
     c = a.conj().reshape(d * d, n1 * n1).T @ b.reshape(d * d, n2 * n2)
     c = c.reshape(n1, n1, n2, n2).transpose(1, 3, 0, 2).reshape(n1 * n2, n1 * n2)
-    g = np.kron(p, np.eye(n2)) + np.kron(np.eye(n1), q) - c - dagger(c)
-    lam, v = np.linalg.eigh(g)
+    return _kron(p, np.eye(n2)) + _kron(np.eye(n1), q) - c - dagger(c)
+
+
+def _intertwiner_candidate(c1: ChoiMatrix, c2: ChoiMatrix) -> np.ndarray:
+    """Least-squares solution ``T`` (unit norm) of ``A_ab T = T B_ab`` over
+    all matrix units (see :func:`_intertwiner_normal_matrix`).  ``T`` is the
+    eigenvector of the normal matrix's lowest eigenvalue, or, when more than
+    one eigenvalue is at most ``1e-10`` of the largest, a fixed generic
+    combination of their eigenvectors.
+    """
+    n1, n2 = c1.d_out, c2.d_out
+    lam, v = np.linalg.eigh(_intertwiner_normal_matrix(c1, c2))
     null = int(np.count_nonzero(lam <= 1e-10 * lam[-1]))
     if null <= 1:
         return v[:, 0].reshape(n1, n2)

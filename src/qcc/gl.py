@@ -5,6 +5,10 @@
 shift through the p-fold adjoint channel and works for every input.  Built
 from the same Kraus list, the two are related exactly by
 ``omega = theta . L_p`` and by ``omega = theta(conjugate)^+``.
+
+Both are accumulated on the pair-interleaved tensor ``(r1 c1 r2 c2 ...
+rp cp)``, in which a factor's (row, column) pair is one contiguous index,
+and one permutation turns it into the ``d^p x d^p`` matrix.
 """
 
 from __future__ import annotations
@@ -64,39 +68,49 @@ def theta(ch: KrausChannel, p: int) -> np.ndarray:
     step = gram.transpose(0, 1, 3, 2).reshape(n, d * d * n)  # [l; b e m] = P[l, m][b, e]
     close = gram.transpose(2, 0, 1, 3).reshape(n, n, d * d)  # [k][l; b e] = P[l, k][b, e]
     acc = np.zeros((d ** (2 * p - 2), d * d), dtype=complex)
+    term = np.empty_like(acc)  # every closing product, then the result
     for k in range(n):
         # The empty chain, open at k: its first extension is T[m] = P[k, m],
         # and closing it at once gives the p = 1 term P[k, k].
         t = np.eye(1, n, k)
         for _ in range(p - 1):
             t = (t @ step).reshape(-1, n)
-        acc += t @ close[k]
+        acc += np.matmul(t, close[k], out=term)
+    return _pairs_to_matrix(acc, p, d, out=term)
+
+
+def _pairs_to_matrix(t: np.ndarray, p: int, d: int, out: np.ndarray) -> np.ndarray:
+    """The ``d^p x d^p`` matrix held by ``t`` with its factors' (row, column)
+    index pairs interleaved, ``(r1 c1 r2 c2 ... rp cp)``, written into the
+    contiguous ``d^(2p)``-entry buffer ``out``."""
     rows_then_cols = list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2))
-    return acc.reshape((d,) * (2 * p)).transpose(rows_then_cols).reshape(d**p, d**p)
-
-
-def _apply_adjoint_to_factor(ch: KrausChannel, sup: np.ndarray, m: np.ndarray, i: int):
-    """Adjoint channel, as its superoperator ``sup``, on tensor factor ``i`` of a
-    matrix on p output factors (the factors below ``i`` are already converted)."""
-    d_out, d_in = ch.d_out, ch.d_in
-    left = d_in**i  # factors below i are already converted
-    right = m.shape[0] // (left * d_out)
-    t = m.reshape(left, d_out, right, left, d_out, right).transpose(0, 2, 3, 5, 1, 4)
-    out = t.reshape(-1, d_out * d_out) @ sup.T
-    out = out.reshape(left, right, left, right, d_in, d_in).transpose(0, 4, 1, 2, 5, 3)
-    new_dim = left * d_in * right
-    return out.reshape(new_dim, new_dim)
+    out.reshape((d,) * (2 * p))[...] = t.reshape((d,) * (2 * p)).transpose(rows_then_cols)
+    return out.reshape(d**p, d**p)
 
 
 def omega(ch: KrausChannel, p: int) -> np.ndarray:
     """Adjoint channel applied factorwise to the left shift:
-    the linearizer of ``Tr Phi(rho)^p`` valid for arbitrary mixed inputs."""
-    _check_p(p, max(ch.d_in, ch.d_out))
-    sup = chn.adjoint_superoperator(ch)
-    m = shift_operator(p, "left", ch.d_out).astype(complex)
-    for i in range(p):
-        m = _apply_adjoint_to_factor(ch, sup, m, i)
-    return m
+    the linearizer of ``Tr Phi(rho)^p`` valid for arbitrary mixed inputs.
+
+    ``L_p`` is laid out with its factors' index pairs interleaved,
+    ``(r1 c1 ... rp cp)``.  One GEMM applies the adjoint superoperator to
+    the leading pair and writes the converted pair last, so after ``p``
+    GEMMs, ping-ponging between two buffers, the pairs are back in order.
+    """
+    d_in, d_out = ch.d_in, ch.d_out
+    _check_p(p, max(d_in, d_out))
+    sup_t = chn.adjoint_superoperator(ch).T
+    size = max(d_in, d_out) ** (2 * p)
+    a, b = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    interleaved = [i for f in range(p) for i in (f, p + f)]
+    m = a[: d_out ** (2 * p)].reshape((d_out,) * (2 * p))
+    m[...] = shift_operator(p, "left", d_out).reshape((d_out,) * (2 * p)).transpose(interleaved)
+    for _ in range(p):
+        rest = m.size // (d_out * d_out)
+        out = b[: rest * d_in * d_in].reshape(rest, d_in * d_in)
+        m = np.matmul(m.reshape(d_out * d_out, rest).T, sup_t, out=out)
+        a, b = b, a
+    return _pairs_to_matrix(m, p, d_in, out=np.empty((d_in**p, d_in**p), dtype=complex))
 
 
 def power_trace(ch: KrausChannel, rho: np.ndarray, p: int) -> float:

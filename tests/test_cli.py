@@ -935,6 +935,16 @@ def test_malformed_input_files_are_rejected(capsys, tmp_path, command, obj, mess
     assert len(err.strip().splitlines()) == 1
 
 
+def test_input_nested_beyond_the_json_reader_is_malformed(capsys, tmp_path):
+    # json.load recurses once per nesting level and gives up with a
+    # RecursionError; that is malformed input too.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "choi", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: JSON input nests too deeply\n"
+
+
 def test_cli_paths_beyond_the_common_ones(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "build", "axes", "-d", "3", "-s", "0.5", "-t", "0.25,0.25",
                            "-u", "0", "--pauli-json")

@@ -354,6 +354,28 @@ def test_matrix_unit_residual_equals_the_kron_formula_exactly():
             assert rel.residual == kron_matrix_unit_residual(c1, c2, rel.w)
 
 
+def kron_normal_matrix(c1, c2):
+    """The intertwiner's normal matrix P (x) I + I (x) Q - C - C^+ through np.kron."""
+    d, n1, n2 = c1.d_in, c1.d_out, c2.d_out
+    a = d * c1.gamma.reshape(d, n1, d, n1).transpose(0, 2, 1, 3)
+    b = d * c2.gamma.reshape(d, n2, d, n2).transpose(0, 2, 1, 3)
+    a_rows = a.reshape(d * d * n1, n1)
+    b_cols = b.transpose(2, 0, 1, 3).reshape(n2, d * d * n2)
+    p = dagger(a_rows) @ a_rows
+    q = (b_cols @ dagger(b_cols)).conj()
+    c = a.conj().reshape(d * d, n1 * n1).T @ b.reshape(d * d, n2 * n2)
+    c = c.reshape(n1, n1, n2, n2).transpose(1, 3, 0, 2).reshape(n1 * n2, n1 * n2)
+    return np.kron(p, np.eye(n2)) + np.kron(np.eye(n1), q) - c - dagger(c)
+
+
+def test_intertwiner_normal_matrix_equals_the_kron_formula_byte_for_byte():
+    ch = random_channel(rng_from_seed(20), 3, 4, 5)
+    routes = {m: chn.kraus_to_choi(conj.conjugate_channel(ch, m)) for m in ("kraus", "choi", "ancilla")}
+    for a, b in (("kraus", "choi"), ("kraus", "ancilla"), ("choi", "ancilla")):
+        got = conj._intertwiner_normal_matrix(routes[a], routes[b])
+        assert got.tobytes() == kron_normal_matrix(routes[a], routes[b]).tobytes(), (a, b)
+
+
 def test_find_relating_isometry_forms_each_choi_matrix_once(monkeypatch):
     # (2, 6, 2): the kraus/choi pair is related by the direct intertwiner.
     # (3, 4, 5): it is lifted from the Kraus-swapped pair, whose two Choi

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from qcc import channel as chn
 from qcc import gl
 from qcc.channel import KrausChannel
 from qcc.conjugate import conjugate_kraus
-from qcc.linalg import dagger
+from qcc.linalg import dagger, frobenius
 from qcc.random import haar_state, haar_unitary, random_density, random_kraus_operators, rng_from_seed
 
 
@@ -230,3 +231,84 @@ def test_verify_gl_identity_forms_no_shift_matrix(monkeypatch):
     assert gl.verify_gl_identity(ch, 3) == expected
     # omega's shift on the output factors is the only one built.
     assert sizes == [ch.d_out]
+
+
+def omega_reference(ch, p):
+    """omega as first written: the left-shift matrix, with the adjoint
+    superoperator applied to one factor at a time through 6-axis transposes."""
+    sup = chn.adjoint_superoperator(ch)
+    m = gl.shift_operator(p, "left", ch.d_out).astype(complex)
+    d_out, d_in = ch.d_out, ch.d_in
+    for i in range(p):
+        left = d_in**i  # factors below i are already converted
+        right = m.shape[0] // (left * d_out)
+        t = m.reshape(left, d_out, right, left, d_out, right).transpose(0, 2, 3, 5, 1, 4)
+        out = t.reshape(-1, d_out * d_out) @ sup.T
+        out = out.reshape(left, right, left, right, d_in, d_in).transpose(0, 4, 1, 2, 5, 3)
+        m = out.reshape(left * d_in * right, left * d_in * right)
+    return m
+
+
+def theta_transfer_reference(ch, p):
+    """theta's cyclic transfer-matrix contraction with a fresh temporary per
+    closing product."""
+    n, d = ch.n_kraus, ch.d_in
+    stack = ch.kraus.transpose(1, 0, 2).reshape(ch.d_out, n * d)
+    gram = (dagger(stack) @ stack).reshape(n, d, n, d)
+    step = gram.transpose(0, 1, 3, 2).reshape(n, d * d * n)
+    close = gram.transpose(2, 0, 1, 3).reshape(n, n, d * d)
+    acc = np.zeros((d ** (2 * p - 2), d * d), dtype=complex)
+    for k in range(n):
+        t = np.eye(1, n, k)
+        for _ in range(p - 1):
+            t = (t @ step).reshape(-1, n)
+        acc += t @ close[k]
+    rows_then_cols = list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2))
+    return acc.reshape((d,) * (2 * p)).transpose(rows_then_cols).reshape(d**p, d**p)
+
+
+def structured_channels(d):
+    """The identity, complete dephasing and the completely noisy channel."""
+    units = np.eye(d * d).reshape(d * d, d, d)  # E_jk, row-major in (j, k)
+    return [
+        chn.identity_channel(d),
+        KrausChannel(d_in=d, d_out=d, kraus=units[:: d + 1].astype(complex)),
+        KrausChannel(d_in=d, d_out=d, kraus=units.astype(complex) / np.sqrt(d)),
+    ]
+
+
+def test_omega_and_theta_keep_their_bits_at_every_small_size():
+    # Every (d_in, d_out, n, p) with 2 <= d_in <= 4, d_out <= 4, n <= 5 and
+    # p <= 4 (all inside the caps), plus three structured channels.  Bytes
+    # are compared, not values: serialize writes -0.0 as "-0", so a changed
+    # sign of zero would change `gl omega` output.
+    rng = rng_from_seed(11)
+    cases = [c for d in (2, 3, 4) for c in structured_channels(d)]
+    for d_in in (2, 3, 4):
+        for d_out in (1, 2, 3, 4):
+            for n in range(1, 6):
+                if n * d_out >= d_in:
+                    cases.append(random_channel(rng, d_in, d_out, n))
+    for ch in cases:
+        conj = conjugate_kraus(ch)
+        for p in range(1, gl.MAX_P + 1):
+            om = omega_reference(ch, p)
+            th, th_conj = theta_transfer_reference(ch, p), theta_transfer_reference(conj, p)
+            assert gl.omega(ch, p).tobytes() == om.tobytes(), (ch.kraus.shape, p)
+            assert gl.theta(ch, p).tobytes() == th.tobytes(), (ch.kraus.shape, p)
+            assert gl.theta(conj, p).tobytes() == th_conj.tobytes(), (ch.kraus.shape, p)
+            assert gl.verify_gl_identity(ch, p) == (
+                frobenius(om - dagger(th_conj)),
+                frobenius(om - gl._times_left_shift(th, p, ch.d_in)),
+            )
+
+
+def test_omega_of_a_one_dimensional_input_agrees_to_rounding():
+    # At d_in = 1 each factor's GEMM has one column, so BLAS takes a
+    # matrix-vector kernel whose rounding depends on the operand's layout.
+    rng = rng_from_seed(12)
+    for d_out in (1, 2, 3, 4):
+        for n in (1, 2, 5):
+            ch = random_channel(rng, 1, d_out, n)
+            for p in range(1, gl.MAX_P + 1):
+                assert np.abs(gl.omega(ch, p) - omega_reference(ch, p)).max() < 1e-15
