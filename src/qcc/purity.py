@@ -57,17 +57,17 @@ matrix and ``Tr sigma^p`` an entrywise sum, so a step makes one
 eigendecomposition, of the input operator.  Any other p, and the entropy,
 take the output eigenpairs, p with the power relative to ``lambda_max``;
 ``p = inf`` takes the limit of the power, the projector on the top output
-eigenvector.  All restarts of the fixed point run together as one stack; a
-restart leaves the stack once it meets its stopping rule.  Where the
-ascent converges slowly, its error shrinks by a nearly fixed rate ``rho``
-per step, so every ``JUMP_EVERY`` (6) steps a restart whose last two steps
-shrank by a rate inside ``JUMP_RATES`` (0.1 to 0.995) also tries the
-Aitken jump to the limit of that geometric sequence, from its last three
-iterates with their global phases aligned.  The trials are evaluated in
-the step's own objective call, and a restart takes its trial only where it
-ascends strictly further than the plain step: the ascent stays monotone,
-and a step still makes one input eigendecomposition and at most one
-batched output eigendecomposition.
+eigenvector.  Both engines run all restarts together as one stack, in
+one loop (:func:`_lockstep`); a restart leaves the stack once it meets its
+stopping rule.  Where the fixed point converges slowly, its error shrinks
+by a nearly fixed rate ``rho`` per step, so every ``JUMP_EVERY`` (6) steps
+a restart whose last two steps shrank by a rate inside ``JUMP_RATES`` (0.1
+to 0.995) also tries the Aitken jump to the limit of that geometric
+sequence, from its last three iterates with their global phases aligned.
+The trials are evaluated in the step's own objective call, and a restart
+takes its trial only where it ascends strictly further than the plain
+step: the ascent stays monotone, and a step still makes one input
+eigendecomposition and at most one batched output eigendecomposition.
 
 A run's starts are the ``initial_states`` that the gap reruns and
 :func:`sampled_nu_p` seed it with, followed by ``restarts`` Haar states,
@@ -78,17 +78,18 @@ read-only in a small cache and shared by every run with the same three.
 A fixed-point step builds and eigensolves the whole ``d_in x d_in``
 operator ``Phi^+(X)``.  Where that is costly, for p in [1, 2) and the
 entropy on kernels with ``d_in^2 d_out > FIXED_POINT_SIZE``, Riemannian
-gradient ascent on the unit sphere runs instead, one restart at a time,
-and needs only the vector ``Phi^+(X) psi``.  p >= 2 stays on the fixed
+gradient ascent on the unit sphere runs instead, on the same stack, and
+needs only the vectors ``Phi^+(X) psi``.  p >= 2 stays on the fixed
 point at every size: the gradient's objective ``Tr sigma^p`` underflows
 at large p, and it has no form at p = inf.  Each gradient step moves along
-the tangent gradient ``r = g - psi <psi, g>`` and renormalizes.  The step
-length opens at the Barzilai-Borwein length of the last step and is halved
-until Armijo's condition holds, so every accepted step ascends.  The step
-is taken along ``r``, not ``g``: the radial part of ``g`` is
-``Tr sigma h(sigma)``, so after renormalization a step along ``g`` stops
-growing with its length while Armijo's bound keeps growing, and on flat or
-degenerate landscapes the ascent crawls for thousands of iterations.
+the tangent gradient ``r = g - psi <psi, g>`` and renormalizes.  Each
+restart's step length opens at the Barzilai-Borwein length of its last
+step and is halved until Armijo's condition holds, so every accepted step
+ascends.  The step is taken along ``r``, not ``g``: the radial part of
+``g`` is ``Tr sigma h(sigma)``, so after renormalization a step along
+``g`` stops growing with its length while Armijo's bound keeps growing,
+and on flat or degenerate landscapes the ascent crawls for thousands of
+iterations.
 """
 
 from __future__ import annotations
@@ -222,14 +223,14 @@ class _Kernel:
         return y.reshape(lead + (self.d_in, self.d_in))
 
     def pull_back(self, m, u, h) -> np.ndarray:
-        """``Phi^+(h(sigma)) psi = K_r^+ vec(M h(sigma)^T)`` for one state, with
-        ``h`` given on the output eigenpairs ``u``."""
-        return self.rows_h @ self.weighted_outputs(m, u, h).reshape(-1)
+        """``Phi^+(h(sigma)) psi = K_r^+ vec(M h(sigma)^T)``, with ``h`` given
+        on the output eigenpairs ``u``."""
+        y = self.weighted_outputs(m, u, h)
+        return y.reshape(y.shape[:-2] + (self.n * self.d_out,)) @ self.rows_h.T
 
     def weighted_outputs(self, m, u, h) -> np.ndarray:
-        """``M h(sigma)^T`` for one state, with ``h`` given on the output
-        eigenpairs ``u``."""
-        return ((m @ u.conj()) * h) @ u.T
+        """``M h(sigma)^T``, with ``h`` given on the output eigenpairs ``u``."""
+        return m @ ((u.conj() * h[..., None, :]) @ np.swapaxes(u, -1, -2))
 
 
 class _ProductKernel(_Kernel):
@@ -269,9 +270,10 @@ class _ProductKernel(_Kernel):
         """``F_r^+ Y conj(G_r)``, with ``Y`` the ``(n1 d1_out, n2 d2_out)``
         regrouping of ``M h(sigma)^T``."""
         n1, o1, i1, n2, o2, i2 = self.dims
-        y = self.weighted_outputs(m, u, h).reshape(n1, n2, o1, o2).swapaxes(1, 2)
-        g = self.k1.rows_h @ y.reshape(n1 * o1, n2 * o2) @ self.k2.rows_h.T
-        return g.reshape(-1)
+        lead = m.shape[:-2]
+        y = np.swapaxes(self.weighted_outputs(m, u, h).reshape(lead + (n1, n2, o1, o2)), -3, -2)
+        g = self.k1.rows_h @ y.reshape(lead + (n1 * o1, n2 * o2)) @ self.k2.rows_h.T
+        return g.reshape(lead + (self.d_in,))
 
 
 def _flips(*chs: KrausChannel) -> bool:
@@ -301,6 +303,11 @@ def _support_power(w: np.ndarray, q: float) -> np.ndarray:
     mask = w > 1e-15 * w.max(axis=-1, keepdims=True)
     out[mask] = w[mask] ** q
     return out
+
+
+def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re <a, b>`` of each row pair of two complex ``(R, d)`` stacks."""
+    return (a.view(float) * b.view(float)).sum(axis=-1)
 
 
 def _entropy_nat(w: np.ndarray) -> np.ndarray:
@@ -362,6 +369,30 @@ def _jumps(psi0: np.ndarray, psi1: np.ndarray, psi2: np.ndarray):
     return rows, trial / np.linalg.norm(trial, axis=-1, keepdims=True)
 
 
+def _lockstep(psi: np.ndarray, carry: tuple, step, max_iter: int):
+    """Run both engines' loop over the start stack ``psi``: step every live
+    row together, at most ``max_iter`` times.  ``step(it, carry)`` takes the
+    live rows' ``carry``, a tuple of arrays with one row per live restart,
+    and returns their new states, which of them stopped, and the new carry.
+    A stopped row keeps its last state, counts ``it`` iterations, reports
+    converged and leaves the carry; a row still live after ``max_iter``
+    steps does not converge."""
+    psi = psi.copy()
+    iters = np.full(len(psi), max_iter)
+    conv = np.zeros(len(psi), dtype=bool)
+    live = np.arange(len(psi))
+    for it in range(1, max_iter + 1):
+        new, done, carry = step(it, carry)
+        psi[live] = new
+        if done.any():
+            iters[live[done]] = it
+            conv[live[done]] = True
+            live, carry = live[~done], tuple(c[~done] for c in carry)
+            if not live.size:
+                break
+    return psi, iters, conv
+
+
 def _fixed_point(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
     """Fixed-point ascent of ``Tr sigma^p`` (``lambda_max`` at p = inf; for
     ``p = None``, ``-S(sigma)``) from every row of ``psi`` at once: each
@@ -385,108 +416,88 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
     # Tr sigma^p changes by the p-th power of the ratio of the norms; -S is
     # its own log-objective.
     exponent = 1.0 if p is None or math.isinf(p) else p
-    back = (psi, psi)  # the live restarts' iterates two steps and one step back
-    psi = psi.copy()
-    iters = np.full(len(psi), max_iter)
-    conv = np.zeros(len(psi), dtype=bool)
-    live = np.arange(len(psi))
-    x, obj = _ascent_operator(kern, kern.outputs(psi), p)
-    for it in range(1, max_iter + 1):
-        step = np.linalg.eigh(kern.adjoint(x))[1][..., -1]
+
+    def step(it, carry):
+        # back2 and back1: the live restarts' iterates two steps and one step back.
+        x, obj, back2, back1 = carry
+        new = np.linalg.eigh(kern.adjoint(x))[1][..., -1]
         if it % JUMP_EVERY:
-            x, new = _ascent_operator(kern, kern.outputs(step), p)
+            x, val = _ascent_operator(kern, kern.outputs(new), p)
         else:
-            rows, trial = _jumps(*back, step)
-            x, new = _ascent_operator(kern, kern.outputs(np.concatenate([step, trial])), p)
-            n = len(step)
-            up = new[n:] > new[rows]
+            rows, trial = _jumps(back2, back1, new)
+            x, val = _ascent_operator(kern, kern.outputs(np.concatenate([new, trial])), p)
+            n = len(new)
+            up = val[n:] > val[rows]
             take = rows[up]
-            step[take], x[take], new[take] = trial[up], x[n:][up], new[n:][up]
-            x, new = x[:n], new[:n]
-        psi[live] = step
-        back = (back[1], step)
+            new[take], x[take], val[take] = trial[up], x[n:][up], val[n:][up]
+            x, val = x[:n], val[:n]
         # A change too large for a double overflows to inf, which is not done.
         with np.errstate(over="ignore"):
-            done = np.abs(np.expm1(exponent * (obj - new))) <= tol
-        if done.any():
-            iters[live[done]] = it
-            conv[live[done]] = True
-            keep = ~done
-            live, x, new = live[keep], x[keep], new[keep]
-            back = (back[0][keep], back[1][keep])
-            if not live.size:
-                break
-        obj = new
-    return psi, iters, conv
+            done = np.abs(np.expm1(exponent * (obj - val))) <= tol
+        return new, done, (x, val, back1, new)
+
+    return _lockstep(psi, (*_ascent_operator(kern, kern.outputs(psi), p), psi, psi), step, max_iter)
 
 
-def _gradient_restart(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
+def _gradient(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
     """Riemannian gradient ascent on the unit sphere with a Barzilai-Borwein
-    step length and backtracking.
+    step length and backtracking, from every row of ``psi`` at once.
 
     Maximizes ``Tr sigma^p`` when ``p`` is given, else ``-S(sigma)``.  With
     ``g`` the gradient, each step moves along the tangent gradient
-    ``r = g - psi <psi, g>`` to ``normalize(psi + t r)``.  The trial length
-    ``t`` is the Barzilai-Borwein length ``<s, s> / -Re<s, y>`` of the last
-    step ``s`` and the change ``y`` of ``r`` (twice the last length when the
-    curvature is not negative), and it is halved until Armijo's condition
-    holds, so every accepted step ascends.  A trial evaluates only the
-    objective; the tangent is formed once, for the accepted point.
+    ``r = g - psi <psi, g>`` to ``normalize(psi + t r)``.  Each restart's
+    trial length ``t`` is the Barzilai-Borwein length ``<s, s> / -Re<s, y>``
+    of its last step ``s`` and the change ``y`` of ``r`` (twice the last
+    length when the curvature is not negative), and it is halved until
+    Armijo's condition holds, so every accepted step ascends.  A halving
+    re-evaluates only the restarts still backtracking, and a trial
+    evaluates only the objective; a step forms the tangent once, at the
+    accepted points only.
     """
 
     def objective(psi):
         # The objective, and the outputs and eigenpairs that its tangent needs.
         m = kern.outputs(psi)
         w, u = kern.eigh(m)
-        phi = float((w**p).sum()) if p is not None else -float(_entropy_nat(w))
-        return phi, (psi, m, w, u)
+        return ((w**p).sum(axis=-1) if p is not None else -_entropy_nat(w)), (psi, m, w, u)
 
     def tangent(psi, m, w, u):
-        if p is not None:
-            h = p * _support_power(w, p - 1)
-        else:
-            h = np.log(np.maximum(w, 1e-18)) + 1.0
+        h = p * _support_power(w, p - 1) if p is not None else np.log(np.maximum(w, 1e-18)) + 1.0
         g = kern.pull_back(m, u, h)
-        return g - psi * np.vdot(psi, g)
+        return g - psi * np.einsum("ri,ri->r", psi.conj(), g)[:, None]
+
+    def step(it, carry):
+        psi, r, phi, t = carry
+        rnorm2 = _re_dot(r, r)
+        rows, accepted = np.flatnonzero(rnorm2 >= 1e-30), []
+        for trial in range(60):
+            cand = psi[rows] + t[rows, None] * r[rows]
+            cand /= np.sqrt(_re_dot(cand, cand))[:, None]
+            val, at = objective(cand)
+            ok = val >= phi[rows] + 1e-4 * t[rows] * rnorm2[rows]
+            # The accepted rows, their objectives and what their tangents need.
+            accepted.append([rows, val, *at] if ok.all() else [a[ok] for a in (rows, val, *at)])
+            keep = ~ok
+            if trial:
+                # A trial that stopped moving and lies below phi fails every
+                # shorter step as well.
+                keep &= ~((val < phi[rows]) & (cand == last).all(axis=-1))
+            rows, last = rows[keep], cand[keep]
+            if not rows.size:
+                break
+            t[rows] *= 0.5
+        acc, val, *at = accepted[0] if len(accepted) == 1 else map(np.concatenate, zip(*accepted))
+        new, r_new, phi_new = psi.copy(), r.copy(), phi.copy()
+        new[acc], r_new[acc], phi_new[acc] = at[0], tangent(*at), val
+        s, y = new - psi, r_new - r
+        curvature = -_re_dot(s, y)
+        t = np.minimum(np.divide(_re_dot(s, s), curvature, out=2.0 * t, where=curvature > 0), 1e6)
+        # A restart that could not ascend keeps phi, so it stops where it is.
+        done = np.abs(phi_new - phi) <= tol * np.maximum(np.abs(phi_new), 1e-12)
+        return new, done, (new, r_new, phi_new, t)
 
     phi, at = objective(psi)
-    r = tangent(*at)
-    step = 1.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        rnorm2 = float(np.vdot(r, r).real)
-        if rnorm2 < 1e-30:
-            converged = True
-            break
-        accepted = False
-        last = None
-        for _ in range(60):
-            cand = psi + step * r
-            cand = cand / np.linalg.norm(cand)
-            phi_new, at = objective(cand)
-            if phi_new >= phi + 1e-4 * step * rnorm2:
-                accepted = True
-                break
-            # A trial that stopped moving and lies below phi fails every
-            # shorter step as well.
-            if phi_new < phi and last is not None and np.array_equal(cand, last):
-                break
-            last = cand
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        r_new = tangent(*at)
-        s, y = cand - psi, r_new - r
-        curvature = -float(np.vdot(s, y).real)
-        step = min(float(np.vdot(s, s).real) / curvature if curvature > 0 else 2.0 * step, 1e6)
-        moved = abs(phi_new - phi)
-        psi, r, phi = cand, r_new, phi_new
-        if moved <= tol * max(abs(phi), 1e-12):
-            converged = True
-            break
-    return psi, it, converged
+    return _lockstep(psi, (psi, tangent(*at), phi, np.ones(len(psi))), step, max_iter)
 
 
 @functools.lru_cache(maxsize=64)
@@ -511,12 +522,11 @@ FIXED_POINT_SIZE = 512
 def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> PurityReport:
     """The optimizer's one entry: maximize ``||sigma||_p`` (``p >= 1``) or,
     for ``p = None``, ``-S(sigma)`` in nats, from ``initial_states`` and
-    ``opts.restarts`` Haar states.  The fixed point runs all restarts as one
-    batch for p >= 2 at every size, and for p in [1, 2) and the entropy
-    where ``d_in^2 d_out <= FIXED_POINT_SIZE``; gradient ascent runs them
-    one at a time otherwise.  Reports the best final state, the first on
-    ties; its value is cut off at the objective's exact maximum, ``1`` or
-    ``0``."""
+    ``opts.restarts`` Haar states, all stepped as one stack.  The fixed
+    point runs p >= 2 at every size, and p in [1, 2) and the entropy where
+    ``d_in^2 d_out <= FIXED_POINT_SIZE``; gradient ascent runs them
+    otherwise.  Reports the best final state, the first on ties; its value
+    is cut off at the objective's exact maximum, ``1`` or ``0``."""
     if p is not None and not p >= 1:
         raise ValueError(f"p must be at least 1, got {p}")
     seeded = [np.asarray(s, dtype=complex) for s in initial_states]
@@ -524,11 +534,9 @@ def _multistart(kern: _Kernel, p, opts: OptimizerOptions, initial_states=()) -> 
     psi0 = np.concatenate([seeded, _haar_starts(kern.d_in, opts.seed, opts.restarts)])
     if not len(psi0):
         raise ValueError("the optimizer needs at least one start: restarts >= 1 or a seeded state")
-    if (p is not None and p >= 2) or kern.d_in**2 * kern.d_out <= FIXED_POINT_SIZE:
-        psi, iters, conv = _fixed_point(kern, psi0, p, opts.tol, opts.max_iter)
-    else:
-        runs = [_gradient_restart(kern, s, p, opts.tol, opts.max_iter) for s in psi0]
-        psi, iters, conv = map(np.array, zip(*runs))
+    fixed = (p is not None and p >= 2) or kern.d_in**2 * kern.d_out <= FIXED_POINT_SIZE
+    engine = _fixed_point if fixed else _gradient
+    psi, iters, conv = engine(kern, psi0, p, opts.tol, opts.max_iter)
     w = kern.spectrum(psi)
     vals = -_entropy_nat(w) if p is None else pnorm(w, p)
     best = int(np.argmax(vals))
@@ -549,6 +557,13 @@ def _require_base(base: float) -> None:
         raise ValueError(f"base must be a finite number above 1, got {base}")
 
 
+def _require_number_p(p, entry: str) -> None:
+    """Refuse ``p = None`` in an entry that takes only a p-norm: only the
+    private path reads None, as the entropy."""
+    if p is None:
+        raise ValueError(f"{entry} requires a number p >= 1, got None")
+
+
 def _entropy_in_base(rep: PurityReport, base: float) -> PurityReport:
     """An entropy report of :func:`_multistart` (``-S`` in nats) as ``S`` in
     the given log base."""
@@ -562,8 +577,7 @@ def nu_p(ch: KrausChannel, p: float, opts: OptimizerOptions = DEFAULT_OPTS) -> P
     ``converged`` reports whether the winning restart's relative objective
     change fell below ``opts.tol``.
     """
-    if p is None:  # only the private path reads None, as the entropy
-        raise ValueError("nu_p requires a number p >= 1, got None")
+    _require_number_p(p, "nu_p")
     return _multistart(_side_kernel(ch), p, opts)
 
 
@@ -654,8 +668,7 @@ def multiplicativity_gap(
     A ``witness_state`` is returned only when the gap exceeds ``1e-6`` (a
     candidate multiplicativity violation).
     """
-    if p is None:  # only the private path reads None, as the entropy
-        raise ValueError("multiplicativity_gap requires a number p >= 1, got None")
+    _require_number_p(p, "multiplicativity_gap")
     r1, r2, r12 = _gap_reports(ch1, ch2, p, opts)
     lhs = r12.value
     rhs = r1.value * r2.value
@@ -693,6 +706,7 @@ def sampled_nu_p(
     1 as :func:`nu_p` is.  The samples are scored by the fixed point's own
     log-objective (:func:`_ascent_operator`), so at p = 2 and 3 they need
     no eigensolve."""
+    _require_number_p(p, "sampled_nu_p")
     d = ch.d_in
     batch = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d))
     batch /= np.linalg.norm(batch, axis=1, keepdims=True)

@@ -57,10 +57,13 @@ def test_nu_p_rejects_p_below_one():
     # p = None reads as the entropy on the private path only.
     ch = chn.identity_channel(2)
     for p in (0.9, math.nan, None):
-        with pytest.raises(ValueError):
-            nu_p(ch, p, FAST)
-        with pytest.raises(ValueError):
-            multiplicativity_gap(ch, ch, p, FAST)
+        for run in (
+            lambda: nu_p(ch, p, FAST),
+            lambda: multiplicativity_gap(ch, ch, p, FAST),
+            lambda: sampled_nu_p(ch, p, 10, rng_from_seed(0), FAST),
+        ):
+            with pytest.raises(ValueError):
+                run()
 
 
 @pytest.mark.parametrize(
@@ -171,12 +174,24 @@ def test_kernel_matches_density_matrix_channel(shape):
     want = np.stack([chn.adjoint_apply(ch, xi) for xi in xs])
     assert np.abs(kern.adjoint(xs) - want).max() < 1e-12
 
-    # Gradient vectors, for h(0) = 0 and for the entropy's h(0) != 0.
-    ws, vs = np.linalg.eigh(sigma)
+    # Gradient vectors, for h(0) = 0 and for the entropy's h(0) != 0, of one
+    # state, of a stack whose first row is that state, and of an empty stack.
+    def reference(psi, h):
+        ws, vs = np.linalg.eigh(chn.apply(ch, np.outer(psi, psi.conj())))
+        return chn.adjoint_apply(ch, (vs * h(np.clip(ws, 0, None))) @ vs.conj().T) @ psi
+
+    psis = np.stack([psi, haar_state(d_in, rng), haar_state(d_in, rng)])
+    ms = kern.outputs(psis)
+    wss, us = kern.eigh(ms)
     for h in (lambda t: t**2, lambda t: np.log(np.maximum(t, 1e-18)) + 1.0):
-        want = chn.adjoint_apply(ch, (vs * h(np.clip(ws, 0, None))) @ vs.conj().T) @ psi
+        want = reference(psi, h)
         got = kern.pull_back(m, u, h(w))
         assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        want = np.stack([reference(s, h) for s in psis])
+        got = kern.pull_back(ms, us, h(wss))
+        assert got.shape == psis.shape
+        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        assert kern.pull_back(ms[:0], us[:0], h(wss[:0])).shape == (0, d_in)
 
 
 #: Factor shapes for the product kernel: each factor has n < d_out in one
@@ -227,12 +242,21 @@ def test_product_kernel_matches_tensor_kernel(shapes):
     assert np.abs(kern.adjoint(xs[0]) - want[0]).max() < 1e-12
     assert np.abs(kern.adjoint(xs) - want).max() < 1e-12
 
-    # Gradient vectors, for h(0) = 0 and for the entropy's h(0) != 0.
+    # Gradient vectors, for h(0) = 0 and for the entropy's h(0) != 0, of one
+    # state, of a stack (against the tensor kernel row by row) and of an
+    # empty stack.
     psi = psis[0]
     m = kern.outputs(psi)
     w, u = kern.eigh(m)
+    ms = kern.outputs(psis)
+    ws, us = kern.eigh(ms)
     for h in (lambda t: t**2, lambda t: np.log(np.maximum(t, 1e-18)) + 1.0):
         assert np.abs(kern.pull_back(m, u, h(w)) - ref.pull_back(m, u, h(w))).max() < 1e-12
+        want = np.stack([ref.pull_back(*a, h(b)) for *a, b in zip(ms, us, ws, strict=True)])
+        got = kern.pull_back(ms, us, h(ws))
+        assert got.shape == psis.shape
+        assert np.abs(got - want).max() < 1e-12
+        assert kern.pull_back(ms[:0], us[:0], h(ws[:0])).shape == (0, ref.d_in)
 
 
 def test_kernels_build_the_superoperator_once_and_only_for_the_adjoint(monkeypatch):
@@ -395,7 +419,7 @@ def test_engine_rule_picks_each_engine_on_each_side_of_the_cutoff(monkeypatch):
     # d_in^2 d_out up to FIXED_POINT_SIZE and the gradient engine above it;
     # p >= 2 runs the fixed point at every size.
     engines = []
-    for name in ("_fixed_point", "_gradient_restart"):
+    for name in ("_fixed_point", "_gradient"):
         real = getattr(purity, name)
         monkeypatch.setattr(
             purity, name, lambda *a, name=name, real=real: engines.append(name) or real(*a)
@@ -420,7 +444,7 @@ def test_engine_rule_picks_each_engine_on_each_side_of_the_cutoff(monkeypatch):
             for p, fixed in ((1.5, below), (None, below), (2, True), (math.inf, True)):
                 engines.clear()
                 purity._multistart(kern, p, opts)
-                assert engines == (["_fixed_point"] if fixed else ["_gradient_restart"] * 2)
+                assert engines == (["_fixed_point"] if fixed else ["_gradient"])
 
 
 def test_entropy_fixed_point_stops_at_a_pure_output():
@@ -637,21 +661,26 @@ def test_werner_holevo_gap_is_detected_and_matches_conjugates():
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
-def test_batched_fixed_point_matches_one_restart_at_a_time(shape):
+def test_batched_fixed_point_matches_one_restart_at_a_time(shape, monkeypatch):
+    # The fixed point at p >= 2, and the gradient engine, on which the cutoff
+    # 0 of CUTOFFS puts p = 1.5 and the entropy.
     d_in, d_out, n = shape
     rng = rng_from_seed(21)
     ch = random_channel(rng, d_in, d_out, n)
+    kern = purity._side_kernel(ch)
     opts = OptimizerOptions(restarts=6, tol=1e-12, seed=3)
     one = replace(opts, restarts=0)
-    for p in (2, 3, math.inf):
-        batched = nu_p(ch, p, opts).value
-        single = max(
-            purity._multistart(
-                purity._side_kernel(ch), p, one, [haar_state(d_in, derived_rng(opts.seed, r))]
-            ).value
-            for r in range(opts.restarts)
-        )
-        assert abs(batched - single) < 1e-12
+    for cutoff, ps in zip(CUTOFFS, ((2, 3, math.inf), (1.5, None)), strict=True):
+        monkeypatch.setattr(purity, "FIXED_POINT_SIZE", cutoff)
+        for p in ps:
+            batched = purity._multistart(kern, p, opts).value
+            single = max(
+                purity._multistart(
+                    kern, p, one, [haar_state(d_in, derived_rng(opts.seed, r))]
+                ).value
+                for r in range(opts.restarts)
+            )
+            assert abs(batched - single) < 1e-12
 
 
 def test_haar_starts_are_the_explicit_rows_and_read_only():
@@ -743,32 +772,57 @@ def test_gradient_engine_never_descends_from_its_start():
             assert rep.value >= pnorm(w, 1.5)
             rep = purity._entropy_in_base(purity._multistart(side, None, one, [psi]), math.e)
             assert rep.value <= purity._entropy_nat(w)
-            up = purity._gradient_restart(side, psi, 1.5, 1e-12, 2000)[0]
+            up = purity._gradient(side, psi[None], 1.5, 1e-12, 2000)[0][0]
             assert pnorm(side.spectrum(up), 1.5) >= pnorm(w, 1.5)
-            down = purity._gradient_restart(side, psi, None, 1e-12, 2000)[0]
+            down = purity._gradient(side, psi[None], None, 1e-12, 2000)[0][0]
             assert purity._entropy_nat(side.spectrum(down)) <= purity._entropy_nat(w)
 
 
 def test_gradient_engine_forms_the_tangent_only_at_accepted_points():
     # A rejected trial needs only its objective.  A run cut at max_iter
     # accepted every one of its steps; a run that converged, every step but
-    # perhaps its last.
+    # perhaps its last.  The run is a one-row stack, and the counts are of
+    # rows: a step whose row accepted nothing pulls back an empty stack.
     rng = rng_from_seed(37)
     evaluated, pulled = [], []
     cut = rejected = 0
     for kern in _kernels(rng):
-        kern.outputs = lambda psi, real=kern.outputs: evaluated.append(psi) or real(psi)
-        kern.pull_back = lambda *a, real=kern.pull_back: pulled.append(a) or real(*a)
+        kern.outputs = lambda psi, real=kern.outputs: evaluated.append(len(psi)) or real(psi)
+        kern.pull_back = lambda m, *a, real=kern.pull_back: pulled.append(len(m)) or real(m, *a)
         for p in (1.5, None):
             evaluated.clear()
             pulled.clear()
-            psi0 = haar_state(kern.d_in, rng)
-            _, it, converged = purity._gradient_restart(kern, psi0, p, 1e-14, 6)
+            psi0 = haar_state(kern.d_in, rng)[None]
+            _, (it,), (converged,) = purity._gradient(kern, psi0, p, 1e-14, 6)
             accepted = (it,) if not converged else (it - 1, it)
-            assert len(pulled) - 1 in accepted
+            assert sum(pulled) - 1 in accepted
             cut += not converged
-            rejected += len(evaluated) - len(pulled)
+            rejected += sum(evaluated) - sum(pulled)
     assert cut > 0 and rejected > 0
+
+
+def test_gradient_engine_runs_each_row_as_it_would_alone():
+    # Every row of a stack keeps its own step length and stopping rule, so
+    # it takes the steps it takes alone.  Batched products round
+    # differently, which can move a stop near the tolerance by a step: a
+    # tenth of the rows may stop elsewhere.  A step length shared by the
+    # rows stopped 76 of these 90 rows elsewhere.
+    rng = rng_from_seed(39)
+    same = total = 0
+    for kern in _kernels(rng):
+        psi0 = np.stack([haar_state(kern.d_in, rng) for _ in range(5)])
+        for p in (1.5, None):
+            psi, iters, _ = purity._gradient(kern, psi0, p, 1e-12, 2000)
+            for start, row, it in zip(psi0, psi, iters, strict=True):
+                (alone,), (it_alone,), _ = purity._gradient(kern, start[None], p, 1e-12, 2000)
+                w, w_alone = kern.spectrum(row), kern.spectrum(alone)
+                if p is None:
+                    assert abs(purity._entropy_nat(w) - purity._entropy_nat(w_alone)) < 1e-9
+                else:
+                    assert abs(pnorm(w, p) - pnorm(w_alone, p)) < 1e-9
+                same += it == it_alone
+                total += 1
+    assert total == 90 and same >= 0.9 * total
 
 
 def test_nu_p_value_matches_state():
