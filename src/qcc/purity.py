@@ -35,7 +35,7 @@ factors' stacks reshaped to ``(n d_out) x d_in``, the outputs are
 adjoint is ``S_1 X S_2^T`` on the ``(a1 a1', a2 a2')`` regrouping of ``X``,
 each ``S`` a factor's ``(d_in^2, d_out^2)`` adjoint superoperator; and the
 gradient is ``F_r^+ Y conj(G_r)`` on the ``(n1 d1_out, n2 d2_out)``
-regrouping of ``Y = M h(sigma)^T``.  The outputs' eigenpairs and both
+regrouping of ``Y = M X^T``.  The outputs' eigenpairs and both
 engines are shared with the single-channel kernel.
 
 The main engine is the fixed-point iteration
@@ -109,8 +109,10 @@ from .random import derived_rng, haar_state
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Multistart optimizer configuration.  ``restarts`` is capped at
-    ``MAX_DIM^2``, so that a Haar start stack is refused before it is built."""
+    """Multistart optimizer configuration.  ``restarts``, ``seed`` and
+    ``max_iter`` are integers (numpy's too, but not bools), as the CLI reads
+    them.  ``restarts`` is capped at ``MAX_DIM^2``, so that a Haar start stack
+    is refused before it is built."""
 
     restarts: int = 32
     tol: float = 1e-10
@@ -118,16 +120,18 @@ class OptimizerOptions:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if not self.restarts >= 0:
-            raise ValueError(f"restarts must be at least 0, got {self.restarts}")
+        for name, low in (("restarts", 0), ("seed", 0), ("max_iter", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
         if self.restarts > MAX_DIM**2:
             raise ValueError(
                 f"restarts {self.restarts} exceeds the supported size (restarts <= {MAX_DIM**2})"
             )
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 DEFAULT_OPTS = OptimizerOptions()
@@ -212,35 +216,26 @@ class _Kernel:
         channel, and they are its whole nonzero spectrum."""
         return self.eigh(self.outputs(psi))[0]
 
-    def output_operator(self, m, w, u, hw) -> np.ndarray:
-        """``sum_i hw_i u_i u_i^+`` over the output eigenvectors ``u_i``."""
-        return (u * hw[..., None, :]) @ dagger(u)
-
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """``vec(Phi^+(X)) = S vec(X)``, ``X`` of shape ``(d_out, d_out)``."""
         lead = x.shape[:-2]
         y = x.reshape(lead + (self.d_out * self.d_out,)) @ self.sup.T
         return y.reshape(lead + (self.d_in, self.d_in))
 
-    def pull_back(self, m, u, h) -> np.ndarray:
-        """``Phi^+(h(sigma)) psi = K_r^+ vec(M h(sigma)^T)``, with ``h`` given
-        on the output eigenpairs ``u``."""
-        y = self.weighted_outputs(m, u, h)
+    def pull_back(self, m, x) -> np.ndarray:
+        """``Phi^+(X) psi = K_r^+ vec(M X^T)`` for the outputs ``m`` of
+        ``psi``, ``X`` of shape ``(d_out, d_out)``."""
+        y = m @ np.swapaxes(x, -1, -2)
         return y.reshape(y.shape[:-2] + (self.n * self.d_out,)) @ self.rows_h.T
-
-    def weighted_outputs(self, m, u, h) -> np.ndarray:
-        """``M h(sigma)^T``, with ``h`` given on the output eigenpairs ``u``."""
-        return m @ ((u.conj() * h[..., None, :]) @ np.swapaxes(u, -1, -2))
 
 
 class _ProductKernel(_Kernel):
     """Pure-state kernel of ``Phi_1 (x) Phi_2``, built from the two factors' kernels.
 
-    Its outputs, spectra and output operators are those of the
+    Its outputs, spectra, adjoints and pull-backs are those of the
     :class:`_Kernel` of the product's Kraus stack ``F_i (x) G_j``, pair
     ``(i, j)`` first-factor major, but that stack is never formed.
-    :meth:`gram`, :meth:`eigh`, :meth:`spectrum` and
-    :meth:`output_operator` are inherited unchanged.
+    :meth:`gram`, :meth:`eigh` and :meth:`spectrum` are inherited unchanged.
     """
 
     def __init__(self, k1: _Kernel, k2: _Kernel):
@@ -266,12 +261,12 @@ class _ProductKernel(_Kernel):
         y = np.swapaxes(y.reshape(lead + (i1, i1, i2, i2)), -3, -2)
         return y.reshape(lead + (self.d_in, self.d_in))
 
-    def pull_back(self, m, u, h) -> np.ndarray:
+    def pull_back(self, m, x) -> np.ndarray:
         """``F_r^+ Y conj(G_r)``, with ``Y`` the ``(n1 d1_out, n2 d2_out)``
-        regrouping of ``M h(sigma)^T``."""
+        regrouping of ``M X^T``."""
         n1, o1, i1, n2, o2, i2 = self.dims
         lead = m.shape[:-2]
-        y = np.swapaxes(self.weighted_outputs(m, u, h).reshape(lead + (n1, n2, o1, o2)), -3, -2)
+        y = np.swapaxes((m @ np.swapaxes(x, -1, -2)).reshape(lead + (n1, n2, o1, o2)), -3, -2)
         g = self.k1.rows_h @ y.reshape(lead + (n1 * o1, n2 * o2)) @ self.k2.rows_h.T
         return g.reshape(lead + (self.d_in,))
 
@@ -305,6 +300,13 @@ def _support_power(w: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
+def _output_operator(u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The output operator ``X = sum_i h_i u_i u_i^+`` over the output
+    eigenvectors ``u_i``: the one form in which both engines hand a kernel
+    ``h(sigma)``."""
+    return (u * h[..., None, :]) @ dagger(u)
+
+
 def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``Re <a, b>`` of each row pair of two complex ``(R, d)`` stacks."""
     return (a.view(float) * b.view(float)).sum(axis=-1)
@@ -335,9 +337,9 @@ def _ascent_operator(kern: _Kernel, m: np.ndarray, p):
         return x, np.log(np.einsum("...ij,...ij->...", sigma.conj(), x).real) / p
     w, u = kern.eigh(m)
     if p is None:
-        return kern.output_operator(m, w, u, np.log(np.maximum(w, 1e-18))), -_entropy_nat(w)
+        return _output_operator(u, np.log(np.maximum(w, 1e-18))), -_entropy_nat(w)
     hw = _support_power(w / w[..., -1:], p - 1)
-    return kern.output_operator(m, w, u, hw), np.log(pnorm(w, p))
+    return _output_operator(u, hw), np.log(pnorm(w, p))
 
 
 #: The fixed point tries an extrapolated jump every ``JUMP_EVERY``-th step,
@@ -463,7 +465,7 @@ def _gradient(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
 
     def tangent(psi, m, w, u):
         h = p * _support_power(w, p - 1) if p is not None else np.log(np.maximum(w, 1e-18)) + 1.0
-        g = kern.pull_back(m, u, h)
+        g = kern.pull_back(m, _output_operator(u, h))
         return g - psi * np.einsum("ri,ri->r", psi.conj(), g)[:, None]
 
     def step(it, carry):
