@@ -51,7 +51,9 @@ def main() -> None:
     print(f"  shared output spectra: max deviation {worst:.3e} over 5 pure inputs")
 
     big = max(args.d, args.dout, args.kraus)  # the conjugate acts on C^kraus
-    p = max((q for q in range(1, gl.MAX_P + 1) if big**q <= gl.MAX_TOTAL_DIM), default=1)
+    p = 1  # the largest p within the gl cap, max(big, 2)^p <= MAX_TOTAL_DIM
+    while max(big, 2) ** (p + 1) <= gl.MAX_TOTAL_DIM:
+        p += 1
     res_conj, res_shift = gl.verify_gl_identity(ch, p)
     print(
         f"  linearizer at p={p}: |omega - theta(conjugate)^+| {res_conj:.3e}, "

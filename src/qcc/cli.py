@@ -165,7 +165,7 @@ def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         from .serialize import dumps
 
-        return dumps(payload, indent=2) + "\n"
+        return dumps(payload) + "\n"
     rows: list[tuple[str, str]] = []
     _flatten("", payload, rows)
     if fmt == "csv":
@@ -437,16 +437,9 @@ def cmd_pauli(args) -> tuple[dict, int]:
             gamma = pmod.nc_image_explicit(basis, psi)
         else:
             gamma = pmod.noisy_conjugate_image(basis, rho)
-        checks = pmod.nc_image_checks(basis, gamma)
-        results = {
-            "gamma": gamma,
-            "checks": {
-                "projector": checks.projector,
-                "diagonal": checks.diagonal,
-                "modulus": checks.modulus,
-                "doubly_stochastic": checks.doubly_stochastic,
-            },
-        }
+        from dataclasses import asdict
+
+        results = {"gamma": gamma, "checks": asdict(pmod.nc_image_checks(basis, gamma))}
         return _report("pauli ncimage", args, results), EXIT_OK
     if sub == "bound":
         ch = _load_pauli(args.infile)
@@ -517,14 +510,10 @@ def cmd_ebt(args) -> tuple[dict, int]:
         }
         return _report("ebt conjugate", args, results), EXIT_OK
     # detect
+    from dataclasses import asdict
+
     ch = _load_channel(args.infile)
-    det = ebtmod.is_hadamard_form(ch)
-    results = {
-        "verdict": det.verdict,
-        "frame": det.frame,
-        "gram": det.gram,
-    }
-    return _report("ebt detect", args, results), EXIT_OK
+    return _report("ebt detect", args, asdict(ebtmod.is_hadamard_form(ch))), EXIT_OK
 
 
 def cmd_gl(args) -> tuple[dict, int]:

@@ -20,32 +20,36 @@ from .channel import KrausChannel
 from .conjugate import conjugate_kraus
 from .linalg import dagger, frobenius
 
-#: Guard rails for the p-fold operators (d^p x d^p dense matrices).
-MAX_P = 4
+#: Guard rail for the p-fold operators (d^p x d^p dense matrices): every
+#: one ``gl`` forms has ``max(d, 2)^p <= MAX_TOTAL_DIM``.
 MAX_TOTAL_DIM = 256
 
 
 def _check_p(p: int, d: int) -> None:
+    """Refuse a ``p`` that is not a positive integer, or one with
+    ``max(d, 2)^p > MAX_TOTAL_DIM``.  Counting ``d = 1`` as 2 keeps
+    ``p <= 8`` everywhere, so the ``2p`` axes of :func:`_pairs_to_matrix`
+    stay within numpy's 64; and ``p >= MAX_TOTAL_DIM.bit_length()`` is
+    refused before its power is formed, since ``2^p`` exceeds the cap there.
+    """
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError("p must be a positive integer")
-    if p > MAX_P or d**p > MAX_TOTAL_DIM:
+    if p >= MAX_TOTAL_DIM.bit_length() or max(d, 2) ** int(p) > MAX_TOTAL_DIM:
         raise ValueError(
             f"p = {p} on dimension {d} exceeds the supported size "
-            f"(p <= {MAX_P}, d^p <= {MAX_TOTAL_DIM})"
+            f"(max(d, 2)^p <= {MAX_TOTAL_DIM})"
         )
 
 
 def shift_operator(p: int, direction: str, d: int) -> np.ndarray:
     """Cyclic shift permutation on ``p`` factors of dimension ``d``:
-    left sends ``|k1 k2 ... kp>`` to ``|k2 ... kp k1>``."""
+    left sends ``|k1 k2 ... kp>`` to ``|k2 ... kp k1>``, and right, its
+    inverse, is its transpose."""
     _check_p(p, d)
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
-    # Row |k1 ... kp> of the identity, with its p digit axes rotated, is the
-    # row of the target |k2 ... kp k1> (left) or |kp k1 ... k(p-1)> (right).
-    axes = list(range(1, p)) + [0] if direction == "left" else [p - 1] + list(range(p - 1))
-    eye = np.eye(d**p).reshape((d,) * p + (d**p,))
-    return eye.transpose(axes + [p]).reshape(d**p, d**p)
+    left = _times_left_shift(np.eye(d**p), p, d)
+    return left if direction == "left" else left.T
 
 
 def theta(ch: KrausChannel, p: int) -> np.ndarray:

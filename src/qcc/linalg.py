@@ -174,15 +174,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def hadamard_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise (Schur) product of two equal-shape matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def pnorm(w: np.ndarray, p: float) -> np.ndarray:
     """``(sum_i w_i^p)^(1/p)`` over the last axis of non-negative ``w``,
     ``max_i w_i`` at ``p = inf``.

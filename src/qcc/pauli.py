@@ -98,7 +98,13 @@ class PauliBasis:
         if unit > 1e-10:
             raise ValueError(f"construction failed: U is not unitary ({unit:.3e})")
         plus = np.full((d, d), 1.0 / d, dtype=complex)
-        _check_noise_factorization(self, u, (np.eye(d) / d, plus))
+        for rho in (np.eye(d) / d, plus):
+            model = u @ np.kron(np.eye(d), rho) @ dagger(u) / d
+            resid = frobenius(noisy_conjugate_image(self, rho) - model)
+            if resid > DEFAULT_TOL:
+                raise ValueError(
+                    f"noise-factorization residual {resid:.3e} exceeds {DEFAULT_TOL:.1e}"
+                )
         u.setflags(write=False)
         return u
 
@@ -330,32 +336,18 @@ def nc_image_checks(basis: PauliBasis, gamma: np.ndarray) -> NcImageChecks:
     )
 
 
-def find_U_T(basis: PauliBasis, samples=()) -> np.ndarray:
+def find_U_T(basis: PauliBasis) -> np.ndarray:
     """Unitary ``U`` with ``N^C(rho) = U (I (x) rho)/d U^+`` for every state.
 
     Constructed, not fitted: row ``m`` is the row-major vectorization of
     ``T_m`` scaled by ``1/sqrt(d)`` (the basis change from matrix units to
     the ``T`` basis).  Verification is mandatory: the factorization is
     checked on two canonical states when ``U`` is first built for a basis,
-    which keeps it, and on any supplied ``samples`` at every call; a
-    residual above ``DEFAULT_TOL`` raises.  ``U`` is read-only.
+    which keeps it; a residual above ``DEFAULT_TOL`` raises.  ``U`` is
+    read-only.  ``verify``'s pauli suite checks the factorization on random
+    states and reports its residual.
     """
-    u = basis._noise_unitary
-    _check_noise_factorization(basis, u, samples)
-    return u
-
-
-def _check_noise_factorization(basis: PauliBasis, u: np.ndarray, states) -> None:
-    d = basis.d
-    eye = np.eye(d)
-    for rho in states:
-        gamma = noisy_conjugate_image(basis, rho)
-        model = u @ np.kron(eye, np.asarray(rho)) @ dagger(u) / d
-        resid = frobenius(gamma - model)
-        if resid > DEFAULT_TOL:
-            raise ValueError(
-                f"noise-factorization residual {resid:.3e} exceeds {DEFAULT_TOL:.1e}"
-            )
+    return basis._noise_unitary
 
 
 def recover_state(basis: PauliBasis, gamma: np.ndarray) -> np.ndarray:
@@ -675,25 +667,21 @@ def classify_product_or_me(
 
 
 def holevo_capacity_weyl(
-    ch: PauliDiagonalChannel,
-    opts: OptimizerOptions | None = None,
-    base: float = 2.0,
+    ch: PauliDiagonalChannel, opts: OptimizerOptions, base: float = 2.0
 ) -> float:
-    """Holevo capacity ``log d - S_min`` of a Weyl-covariant channel;
-    ``opts`` defaults to ``purity.DEFAULT_OPTS``.
+    """Holevo capacity ``log d - S_min`` of a Weyl-covariant channel.
 
     Only accepts channels built by this module, where covariance holds by
     construction; the formula is unproven for anything else.
     """
     # The optimizer is imported here, so that the rest of the module loads
     # without it.
-    from .purity import DEFAULT_OPTS, s_min
+    from .purity import s_min
 
     if not isinstance(ch, PauliDiagonalChannel):
         raise TypeError(
             "capacity formula requires a Pauli-diagonal (Weyl covariant) channel"
         )
-    opts = DEFAULT_OPTS if opts is None else opts
     # s_min runs first, so that it refuses a bad base before math.log sees it.
     smin = s_min(ch.channel, opts, base=base).value
     return math.log(ch.d, base) - smin

@@ -3,9 +3,11 @@
 Channel files are objects ``{"d_in": .., "d_out": .., "kraus": [..]}`` where
 each Kraus operator is a row-major array of rows and each scalar a two-element
 ``[re, im]`` array of doubles.  Field names and their order are normative.
-Floats are printed with 17 significant digits so every value round-trips.
-:func:`dumps` writes a numpy array as the nested list :func:`plain` makes of
-it: a real array as its numbers, a complex one with ``[re, im]`` entries.
+Floats are printed with 17 significant digits so every value round-trips,
+the sign of a zero aside: ``-0.0`` and ``0.0`` both print as ``0``.
+:func:`dumps` writes one layout, two spaces of indent per level, and writes
+a numpy array as the nested list :func:`plain` makes of it: a real array as
+its numbers, a complex one with ``[re, im]`` entries.
 :func:`complex_array` reads such a complex array back.
 """
 
@@ -28,7 +30,7 @@ if TYPE_CHECKING:
 
 
 def format_float(x: float) -> str:
-    x = float(x)
+    x = float(x) + 0.0  # -0.0 + 0.0 is 0.0, so zero prints as 0 whatever its sign
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
     return format(x, ".17g")
@@ -40,27 +42,26 @@ def plain(a) -> np.ndarray:
     return np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a) else a
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON text with 17-significant-digit floats.
+def dumps(obj) -> str:
+    """Deterministic JSON text with 17-significant-digit floats, one item
+    per line and two spaces of indent per level.
 
     Dict insertion order is preserved, so callers control field order.
     """
-    return _text(obj, indent, 0)
+    return _text(obj, 0)
 
 
-def _wrap(items: list[str], brackets: str, indent: int, level: int) -> str:
-    """``items`` between ``brackets``, one per line when ``indent`` is set."""
+def _wrap(items: list[str], brackets: str, level: int) -> str:
+    """``items`` between ``brackets``, one per line, at nesting ``level``."""
     if not items:
         return brackets
-    if not indent:
-        return brackets[0] + ", ".join(items) + brackets[1]
-    pad = "\n" + " " * (indent * (level + 1))
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * (indent * level) + brackets[1]
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
 
 
-def _text(obj, indent: int, level: int) -> str:
+def _text(obj, level: int) -> str:
     if isinstance(obj, np.ndarray):
-        return _array_text(obj, indent, level)
+        return _array_text(obj, level)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -72,33 +73,34 @@ def _text(obj, indent: int, level: int) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = [f"{json.dumps(str(k))}: {_text(v, indent, level + 1)}" for k, v in obj.items()]
-        return _wrap(items, "{}", indent, level)
+        items = [f"{json.dumps(str(k))}: {_text(v, level + 1)}" for k, v in obj.items()]
+        return _wrap(items, "{}", level)
     if isinstance(obj, (list, tuple)):
-        return _wrap([_text(v, indent, level + 1) for v in obj], "[]", indent, level)
+        return _wrap([_text(v, level + 1) for v in obj], "[]", level)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _array_text(a: np.ndarray, indent: int, level: int) -> str:
+def _array_text(a: np.ndarray, level: int) -> str:
     """``plain(a).tolist()``'s text; for floats, one ``%`` call on a template
     that holds the layout and a ``%.17g`` (``format_float``'s format) per number."""
     a = plain(a)
     if a.dtype.kind != "f" or not a.size:
-        return _text(a.tolist(), indent, level)
+        return _text(a.tolist(), level)
     template = "%.17g"
     for axis in range(a.ndim - 1, -1, -1):
-        template = _wrap([template] * a.shape[axis], "[]", indent, level + axis)
+        template = _wrap([template] * a.shape[axis], "[]", level + axis)
     return template % finite_values(a)
 
 
 def finite_values(a: np.ndarray) -> tuple:
-    """The numbers of a float array in row-major order, refused as
-    :func:`format_float` refuses them if any is not finite."""
+    """The numbers of a float array in row-major order, with ``-0.0`` made
+    ``0.0`` as :func:`format_float` makes it, refused as it refuses them if
+    any is not finite."""
     flat = a.ravel()
     bad = flat[~np.isfinite(flat)]
     if bad.size:
         raise ValueError(f"cannot serialize non-finite value {float(bad[0])}")
-    return tuple(flat.tolist())
+    return tuple((flat + 0.0).tolist())
 
 
 _BAD_PAIR = "complex scalar must be a finite [re, im] pair"

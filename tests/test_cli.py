@@ -47,12 +47,11 @@ def test_array_writer_matches_the_list_writer():
         arrays += [x, x + 1j * rng.standard_normal(shape)]
     arrays += [np.arange(4), np.zeros(0), np.zeros((2, 0), dtype=complex)]
     for a in arrays:
-        for indent in (0, 2):
-            lists = ser.plain(a).tolist()
-            assert ser.dumps(a, indent) == ser.dumps(lists, indent), (a, indent)
-            nested = {"a": a, "b": [1, (a, {"c": a})], "d": None}
-            reference = {"a": lists, "b": [1, (lists, {"c": lists})], "d": None}
-            assert ser.dumps(nested, indent) == ser.dumps(reference, indent)
+        lists = ser.plain(a).tolist()
+        assert ser.dumps(a) == ser.dumps(lists), a
+        nested = {"a": a, "b": [1, (a, {"c": a})], "d": None}
+        reference = {"a": lists, "b": [1, (lists, {"c": lists})], "d": None}
+        assert ser.dumps(nested) == ser.dumps(reference)
     assert ser.plain(np.array([1 + 2j, -0.0 - 3j])).tolist() == [[1.0, 2.0], [-0.0, -3.0]]
 
     for bad in (np.nan, np.inf, -np.inf):
@@ -66,18 +65,29 @@ def test_array_writer_matches_the_list_writer():
 def test_channel_json_round_trip_fixed_point():
     rng = rng_from_seed(0)
     ch = KrausChannel(d_in=2, d_out=3, kraus=random_kraus_operators(2, 3, 4, rng))
-    text = ser.dumps(ser.channel_to_obj(ch), indent=2)
+    text = ser.dumps(ser.channel_to_obj(ch))
     back = ser.channel_from_obj(json.loads(text))
     assert np.array_equal(back.kraus, ch.kraus)
-    text2 = ser.dumps(ser.channel_to_obj(back), indent=2)
+    text2 = ser.dumps(ser.channel_to_obj(back))
     assert text2 == text
+
+
+def _numbers(obj) -> list:
+    """The numbers of a nested object of dicts, lists and arrays, in order."""
+    if isinstance(obj, np.ndarray):
+        obj = ser.plain(obj).tolist()
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [x for v in obj for x in _numbers(v)]
+    return [obj]
 
 
 def test_negative_zero_keeps_its_sign_through_a_read_and_a_write():
     # -0.0 in either part of a pair, beside 1.0 and -0.0 in the other: the
     # construction re + 1j * im would turn some of these -0.0 into 0.0.  The
-    # files are written by the json module, which spells -0.0 out; qcc's own
-    # writer prints "-0", which JSON readers take for the integer 0.
+    # files are written by the json module, which spells -0.0 out.  qcc's own
+    # writer prints every zero as 0, so the read arrays' bits are checked.
     u = [[-0.0, 1.0], [-0.0, -0.0]]
     v = [[-0.0, -0.0], [1.0, -0.0]]
     files = [
@@ -86,9 +96,20 @@ def test_negative_zero_keeps_its_sign_through_a_read_and_a_write():
         (ser.ebt_from_obj, ser.ebt_to_obj, {"x": [u, v], "w": [u, v]}),
     ]
     for read, to_obj, obj in files:
-        back = read(json.loads(json.dumps(obj)))
-        # dumps prints -0.0 as "-0" and 0.0 as "0", so equal text keeps every sign.
-        assert ser.dumps(to_obj(back), indent=2) == ser.dumps(obj, indent=2)
+        got, want = _numbers(to_obj(read(json.loads(json.dumps(obj))))), _numbers(obj)
+        assert got == want
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_every_format_prints_a_zero_of_either_sign_as_0():
+    from qcc.cli import _render
+
+    zero = -0.0
+    payload = {"x": zero, "l": [zero, 0.0], "a": np.array([zero, 0.0]), "c": np.array([complex(zero, zero)])}
+    assert ser.format_float(zero) == "0"
+    assert json.loads(_render(payload, "json")) == {"x": 0, "l": [0, 0], "a": [0, 0], "c": [[0, 0]]}
+    assert _render(payload, "csv") == "key,value\nx,0\nl,0;0\na,0;0\nc.0,0;0\n"
+    assert _render(payload, "text") == "x    0\nl    0;0\na    0;0\nc.0  0;0\n"
 
 
 def test_channel_json_field_order():
@@ -384,6 +405,31 @@ def test_gl_commands(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "gl", "theta", "--in", str(path), "-p", "2")
     assert code == 0
     assert len(json.loads(out)["matrix"]) == 4
+
+
+def test_gl_commands_take_every_p_within_the_size_cap(capsys, tmp_path):
+    # The d = 3 Werner-Holevo channel, Kraus operators (|i><j| - |j><i|) / sqrt(2)
+    # for i < j, first breaks multiplicativity at p = 5, where 3^5 = 243 <= 256.
+    ops = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        k = np.zeros((3, 3))
+        k[i, j], k[j, i] = 1.0, -1.0
+        ops.append(k / math.sqrt(2))
+    wh = tmp_path / "wh.json"
+    wh.write_text(ser.dumps(ser.channel_to_obj(KrausChannel.from_operators(ops))))
+    code, out, _ = run_cli(capsys, "gl", "theta", "--in", str(wh), "-p", "5")
+    assert code == 0 and len(json.loads(out)["matrix"]) == 243
+    code, out, _ = run_cli(capsys, "gl", "verify", "--in", str(wh), "-p", "5", "--trials", "2")
+    assert code == 0 and json.loads(out)["results"]["passed"]
+
+    qubit = tmp_path / "q.json"
+    run_cli(capsys, "build", "random", "-d", "2", "--kraus", "3", "--out", str(qubit))
+    for path, p in ((qubit, "9"), (wh, "6"), (qubit, str(10**18))):
+        for sub in ("theta", "omega", "verify"):
+            code, out, err = run_cli(capsys, "gl", sub, "--in", str(path), "-p", p)
+            assert (code, out) == (2, ""), (sub, p)
+            assert err.startswith("error:") and "exceeds the supported size" in err
+            assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_command_and_exit_codes(capsys, tmp_path):

@@ -29,6 +29,14 @@ def theta_reference(ch, p):
     return out
 
 
+def cap_p(d):
+    """The largest p the size cap allows on dimension d: max(d, 2)^p <= MAX_TOTAL_DIM."""
+    p = 1
+    while max(d, 2) ** (p + 1) <= gl.MAX_TOTAL_DIM:
+        p += 1
+    return p
+
+
 def shift_reference(p, direction, d):
     """The shift permutation built one basis vector at a time from its digits."""
     n = d**p
@@ -107,11 +115,28 @@ def test_shift_operator_small_cases():
 
 def test_shift_operator_guards():
     with pytest.raises(ValueError):
-        gl.shift_operator(5, "left", 2)
+        gl.shift_operator(9, "left", 2)
     with pytest.raises(ValueError):
         gl.shift_operator(2, "sideways", 2)
     with pytest.raises(ValueError):
         gl.shift_operator(3, "left", 7)  # 343 > supported total dimension
+
+
+def test_gl_identities_beyond_p_4_within_the_size_cap():
+    # (d_in, d_out, n, p) = (2, 2, 3, 8) and (3, 3, 3, 5), the largest p at
+    # d = 2 and 3, and (1, 2, 2, 8), where d_in = 1 counts as 2.
+    rng = rng_from_seed(13)
+    for shape, p in (((2, 2, 3), 8), ((3, 3, 3), 5), ((1, 2, 2), 8)):
+        ch = random_channel(rng, *shape)
+        r1, r2 = gl.verify_gl_identity(ch, p)
+        assert r1 < 1e-12 and r2 < 1e-12, (shape, p)
+        om = gl.omega(ch, p)
+        for _ in range(3):
+            rho = random_density(ch.d_in, rng)
+            assert abs(gl.power_trace(ch, rho, p) - gl.linearized_trace(om, rho, p)) < 1e-12
+        for op in (gl.theta, gl.omega):
+            with pytest.raises(ValueError, match="exceeds the supported size"):
+                op(ch, p + 1)
 
 
 def test_linearizers_reject_a_non_integer_p():
@@ -203,12 +228,12 @@ def test_theta_rejects_oversized_requests():
 
 
 def test_theta_times_left_shift_is_the_column_rotation_at_every_size():
-    # Every (d, p) within the caps, d^p <= 256 and p <= 4, on the theta of a
+    # Every (d, p) within the cap, max(d, 2)^p <= 256, on the theta of a
     # channel with generic complex Kraus operators (theta needs no TP).
     rng = rng_from_seed(9)
-    for p in range(1, gl.MAX_P + 1):
+    for p in range(1, cap_p(1) + 1):
         d = 1
-        while d**p <= gl.MAX_TOTAL_DIM:
+        while max(d, 2) ** p <= gl.MAX_TOTAL_DIM:
             ops = rng.normal(size=(2, 2, d)) + 1j * rng.normal(size=(2, 2, d))
             th = gl.theta(KrausChannel(d_in=d, d_out=2, kraus=ops), p)
             assert np.array_equal(
@@ -278,10 +303,9 @@ def structured_channels(d):
 
 
 def test_omega_and_theta_keep_their_bits_at_every_small_size():
-    # Every (d_in, d_out, n, p) with 2 <= d_in <= 4, d_out <= 4, n <= 5 and
-    # p <= 4 (all inside the caps), plus three structured channels.  Bytes
-    # are compared, not values: serialize writes -0.0 as "-0", so a changed
-    # sign of zero would change `gl omega` output.
+    # Every (d_in, d_out, n) with 2 <= d_in <= 4, d_out <= 4 and n <= 5, plus
+    # three structured channels, at every p inside the cap.  Bytes are
+    # compared, not values, so a changed sign of zero would show.
     rng = rng_from_seed(11)
     cases = [c for d in (2, 3, 4) for c in structured_channels(d)]
     for d_in in (2, 3, 4):
@@ -291,7 +315,7 @@ def test_omega_and_theta_keep_their_bits_at_every_small_size():
                     cases.append(random_channel(rng, d_in, d_out, n))
     for ch in cases:
         conj = conjugate_kraus(ch)
-        for p in range(1, gl.MAX_P + 1):
+        for p in range(1, cap_p(max(ch.d_in, ch.d_out)) + 1):
             om = omega_reference(ch, p)
             th, th_conj = theta_transfer_reference(ch, p), theta_transfer_reference(conj, p)
             assert gl.omega(ch, p).tobytes() == om.tobytes(), (ch.kraus.shape, p)
@@ -310,5 +334,5 @@ def test_omega_of_a_one_dimensional_input_agrees_to_rounding():
     for d_out in (1, 2, 3, 4):
         for n in (1, 2, 5):
             ch = random_channel(rng, 1, d_out, n)
-            for p in range(1, gl.MAX_P + 1):
+            for p in range(1, cap_p(d_out) + 1):
                 assert np.abs(gl.omega(ch, p) - omega_reference(ch, p)).max() < 1e-15

@@ -143,3 +143,18 @@ def test_cli_suite_names_match_verify():
     from qcc import cli, verify
 
     assert cli.SUITE_NAMES == verify.SUITE_NAMES
+
+
+def test_cli_optimizer_flags_default_to_optimizer_options():
+    # build_parser restates the defaults, so that --help loads no numpy.
+    from qcc.cli import _opts, build_parser
+    from qcc.purity import OptimizerOptions
+
+    parser = build_parser()
+    for argv in (
+        ["nu", "--in", "c.json", "-p", "2"],
+        ["smin", "--in", "c.json"],
+        ["mult", "--a", "c.json", "--b", "c.json", "-p", "2"],
+        ["capacity", "--in", "c.json"],
+    ):
+        assert repr(_opts(parser.parse_args(argv))) == repr(OptimizerOptions()), argv

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcc.linalg import (
-    hadamard_product,
     majorizes,
     nonzero_spectrum,
     partial_trace,
@@ -61,24 +60,6 @@ def test_partial_trace_matches_index_sum_oracle():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(5), (2, 3), "A")
-
-
-def test_hadamard_product():
-    rng = rng_from_seed(3)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.array_equal(hadamard_product(a, np.ones((3, 3))), a)
-    assert np.abs(hadamard_product(a, np.zeros((3, 3)))).max() == 0
-    with pytest.raises(ValueError):
-        hadamard_product(a, np.ones((2, 3)))
-
-
-def test_schur_product_preserves_psd():
-    rng = rng_from_seed(4)
-    for _ in range(10):
-        a = random_density(3, rng)
-        b = random_density(3, rng)
-        eigs = np.linalg.eigvalsh(hadamard_product(a, b))
-        assert eigs.min() > -1e-12
 
 
 def test_schatten_norm_closed_forms():

@@ -229,8 +229,7 @@ def test_find_u_t_and_recovery():
     rng = rng_from_seed(8)
     for d in (2, 3, 4):
         b = pm.build_basis(d)
-        samples = [random_density(d, rng) for _ in range(3)]
-        u = pm.find_U_T(b, samples=samples)
+        u = pm.find_U_T(b)
         assert frobenius(u @ dagger(u) - np.eye(d * d)) < 1e-12
         rho = random_density(d, rng)
         gamma = pm.noisy_conjugate_image(b, rho)
@@ -239,8 +238,7 @@ def test_find_u_t_and_recovery():
 
 
 def test_recover_state_builds_and_checks_u_once_per_basis(monkeypatch):
-    # U is checked on the two canonical states once per basis; samples given
-    # to find_U_T are checked at every call.
+    # U is checked on the two canonical states once per basis.
     calls = []
     image = pm.noisy_conjugate_image
     monkeypatch.setattr(pm, "noisy_conjugate_image", lambda b, r: calls.append(1) or image(b, r))
@@ -251,8 +249,8 @@ def test_recover_state_builds_and_checks_u_once_per_basis(monkeypatch):
     for rho, gamma in zip(rhos, gammas):
         assert np.abs(pm.recover_state(b, gamma) - rho).max() < 1e-12
     assert len(calls) == 2
-    u = pm.find_U_T(b, samples=rhos[:3])
-    assert len(calls) == 5 and not u.flags.writeable
+    u = pm.find_U_T(b)
+    assert len(calls) == 2 and not u.flags.writeable
     assert np.array_equal(u, b.ops.reshape(9, 9) / np.sqrt(3))
 
 

@@ -1,9 +1,12 @@
 import inspect
+import json
 
 import numpy as np
 import pytest
 
+from qcc import conjugate as conj
 from qcc import gl, verify
+from qcc.cli import main
 
 
 def test_gl_shift_check_fails_when_the_p1_shift_is_not_the_identity(monkeypatch):
@@ -39,3 +42,27 @@ def test_run_suites_uses_each_suite_default_trial_count(monkeypatch):
 def test_run_suites_rejects_an_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite 'nosuch'"):
         verify.run_suites("nosuch")
+
+
+def test_verify_reports_a_refused_relation_and_runs_every_other_check(capsys, monkeypatch):
+    argv = ["verify", "--suite", "conjugate", "--seed", "1", "--trials", "4"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)["checks"]
+    real, calls = conj.find_relating_isometry, []
+
+    def second_call_refused(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise conj.NotConjugateError("no partial isometry relates the two channels")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conj, "find_relating_isometry", second_call_refused)
+    assert main(argv) == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [c["name"] for c in clean]
+    failed = [c for c in checks if not c["passed"]]
+    assert [(c["name"], c["detail"]) for c in failed] == [
+        ("three conjugate routes agree up to partial isometry",
+         "no partial isometry relates the two channels"),
+    ]
+    assert [c for c in checks if c["passed"]] == [c for c in clean if c["name"] != failed[0]["name"]]
