@@ -94,6 +94,7 @@ iterations.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -105,6 +106,15 @@ from .channel import KrausChannel
 from .conjugate import conjugate_kraus
 from .linalg import MAX_DIM, Spectrum, dagger, nonzero_spectrum, pnorm
 from .random import derived_rng, haar_state
+
+
+def _require_count(name: str, value, low: int) -> None:
+    """Refuse a ``value`` that is not an integer (numpy's too, but not a
+    bool) of at least ``low``, naming it as ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -121,11 +131,7 @@ class OptimizerOptions:
 
     def __post_init__(self):
         for name, low in (("restarts", 0), ("seed", 0), ("max_iter", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
+            _require_count(name, getattr(self, name), low)
         if self.restarts > MAX_DIM**2:
             raise ValueError(
                 f"restarts {self.restarts} exceeds the supported size (restarts <= {MAX_DIM**2})"
@@ -560,10 +566,13 @@ def _require_base(base: float) -> None:
 
 
 def _require_number_p(p, entry: str) -> None:
-    """Refuse ``p = None`` in an entry that takes only a p-norm: only the
-    private path reads None, as the entropy."""
+    """Refuse ``p = None`` in an entry that takes only a p-norm, since only
+    the private path reads None, as the entropy; and a p below 1, nan
+    included, before any work, as :func:`_multistart` would after it."""
     if p is None:
         raise ValueError(f"{entry} requires a number p >= 1, got None")
+    if not p >= 1:
+        raise ValueError(f"p must be at least 1, got {p}")
 
 
 def _entropy_in_base(rep: PurityReport, base: float) -> PurityReport:
@@ -596,9 +605,13 @@ def s_min(ch: KrausChannel, opts: OptimizerOptions = DEFAULT_OPTS, base: float =
 def spectrum_pair_check(ch: KrausChannel, psi: np.ndarray) -> tuple[Spectrum, Spectrum, float]:
     """Non-zero output spectra (:func:`qcc.linalg.nonzero_spectrum`, cutoff
     ``DEFAULT_TOL``) of the channel and its conjugate on one pure input, plus
-    their maximal entrywise deviation (zero-padded)."""
+    their maximal entrywise deviation (zero-padded).  ``psi`` must have a
+    finite, nonzero norm."""
     psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError(f"psi must have a finite, nonzero norm, got {norm}")
+    psi = psi / norm
     rho = np.outer(psi, psi.conj())
     sa = nonzero_spectrum(chn.apply(ch, rho))
     sb = nonzero_spectrum(chn.apply(conjugate_kraus(ch), rho))
@@ -696,6 +709,12 @@ def additivity_gap_entropy(
     return GapReport(lhs, rhs, rhs - lhs, r1, r2, r12)
 
 
+#: :func:`sampled_nu_p` scores its samples in blocks of at most this many
+#: output entries, ``max(1, SAMPLE_BLOCK_ENTRIES // (n d_out))`` states of
+#: the side kernel's ``(n, d_out)`` outputs each: 256 KiB of complex outputs.
+SAMPLE_BLOCK_ENTRIES = 1 << 14
+
+
 def sampled_nu_p(
     ch: KrausChannel,
     p: float,
@@ -707,13 +726,40 @@ def sampled_nu_p(
     pure states followed by a local polish from the best sample, cut off at
     1 as :func:`nu_p` is.  The samples are scored by the fixed point's own
     log-objective (:func:`_ascent_operator`), so at p = 2 and 3 they need
-    no eigensolve."""
+    no eigensolve.
+
+    ``n_samples`` is an integer of at least 1.  Sample ``i`` is row ``i`` of
+    ``A + 1j B``, normalized, where ``A`` and ``B`` are the first and the
+    next ``(n_samples, d_in)`` standard normals that ``rng`` draws.  The
+    samples are drawn, normalized and scored in blocks of ``max(1,
+    SAMPLE_BLOCK_ENTRIES // (n d_out))`` rows, with ``(n, d_out)`` the side
+    kernel's output shape, and only the best sample so far is kept, the
+    first on ties.  ``A`` is replayed block by block from a copy of ``rng``
+    while ``rng`` itself, first drawn past ``A``, gives ``B``.  The samples,
+    the one picked and ``rng``'s final state are therefore those of one
+    ``(n_samples, d_in)`` stack, while the memory held stays a few blocks
+    of ``SAMPLE_BLOCK_ENTRIES`` entries for any ``n_samples``: a CPT kernel
+    has ``n d_out >= d_in``, so a block's states fit in it too.
+    """
     _require_number_p(p, "sampled_nu_p")
-    d = ch.d_in
-    batch = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d))
-    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+    _require_count("n_samples", n_samples, 1)
     kern = _side_kernel(ch)
-    _, log_vals = _ascent_operator(kern, kern.outputs(batch), p)
-    best = int(np.argmax(log_vals))
-    rep = _multistart(kern, p, replace(opts, restarts=0), initial_states=[batch[best]])
-    return min(max(math.exp(log_vals[best]), rep.value), 1.0)
+    rows = max(1, SAMPLE_BLOCK_ENTRIES // (kern.n * kern.d_out))
+    starts = range(0, n_samples, rows)
+
+    def shape(start):
+        return min(rows, n_samples - start), kern.d_in
+
+    real = copy.deepcopy(rng)
+    for start in starts:
+        rng.standard_normal(shape(start))
+    best_val, best_state = -math.inf, None
+    for start in starts:
+        batch = real.standard_normal(shape(start)) + 1j * rng.standard_normal(shape(start))
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        _, log_vals = _ascent_operator(kern, kern.outputs(batch), p)
+        i = int(np.argmax(log_vals))
+        if log_vals[i] > best_val:
+            best_val, best_state = log_vals[i], batch[i].copy()
+    rep = _multistart(kern, p, replace(opts, restarts=0), initial_states=[best_state])
+    return min(max(math.exp(best_val), rep.value), 1.0)

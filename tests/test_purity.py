@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -56,14 +57,18 @@ def test_nu_p_identity_channel():
 def test_nu_p_rejects_p_below_one():
     # p = None reads as the entropy on the private path only.
     ch = chn.identity_channel(2)
+    rng = rng_from_seed(0)
+    state = rng.bit_generator.state
     for p in (0.9, math.nan, None):
         for run in (
             lambda: nu_p(ch, p, FAST),
             lambda: multiplicativity_gap(ch, ch, p, FAST),
-            lambda: sampled_nu_p(ch, p, 10, rng_from_seed(0), FAST),
+            lambda: sampled_nu_p(ch, p, 10, rng, FAST),
         ):
             with pytest.raises(ValueError):
                 run()
+    # Refused before any sample is drawn.
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize(
@@ -928,6 +933,15 @@ def test_nu_p_and_s_min_agree_with_conjugate():
         assert abs(s_min(ch, OPTS).value - s_raw) < 1e-8
 
 
+def test_spectrum_pair_check_refuses_a_zero_or_non_finite_state():
+    ch = random_channel(rng_from_seed(48), 2, 3, 2)
+    for psi in ([0, 0], [np.nan, 1], [np.inf, 1]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="psi"):
+                spectrum_pair_check(ch, psi)
+
+
 def test_spectrum_pair_check_cases():
     rng = rng_from_seed(6)
     unitary = KrausChannel.from_operators([haar_unitary(2, rng)])
@@ -1039,15 +1053,26 @@ def test_optimizer_determinism():
     assert np.array_equal(r1.optimizer_state, r2.optimizer_state)
 
 
-def _sample_spy(monkeypatch, n_samples):
-    """Records each eigensolver call on a stack of ``n_samples``, and each
-    ``_ascent_operator`` call there with its log-objective."""
-    solved, scored = [], []
+def _sample_spy(monkeypatch):
+    """Records each eigensolver call on a stack, and each ``_ascent_operator``
+    call with its log-objective, made outside ``_multistart``: the blocks of
+    samples that ``sampled_nu_p`` scores, not its polish."""
+    solved, scored, polishing = [], [], []
+    real_run = purity._multistart
+
+    def run(*args, **kw):
+        polishing.append(True)
+        try:
+            return real_run(*args, **kw)
+        finally:
+            polishing.pop()
+
+    monkeypatch.setattr(purity, "_multistart", run)
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def spy(a, *args, real=real, name=name, **kw):
-            if a.ndim == 3 and a.shape[0] == n_samples:
+            if a.ndim == 3 and not polishing:
                 solved.append(name)
             return real(a, *args, **kw)
 
@@ -1056,7 +1081,7 @@ def _sample_spy(monkeypatch, n_samples):
 
     def op(kern, m, p):
         x, obj = real_op(kern, m, p)
-        if m.shape[0] == n_samples:
+        if not polishing:
             scored.append((kern, m, obj))
         return x, obj
 
@@ -1065,23 +1090,91 @@ def _sample_spy(monkeypatch, n_samples):
 
 
 def test_sampled_nu_p_makes_no_eigensolve_of_the_samples_at_p_2_and_3(monkeypatch):
-    solved, scored = _sample_spy(monkeypatch, 1000)
+    solved, scored = _sample_spy(monkeypatch)
+    # 666 rows a block on the (3, 3, 3) kernel and 300 on the (2, 4, 5) one.
+    monkeypatch.setattr(purity, "SAMPLE_BLOCK_ENTRIES", 6000)
     rng = rng_from_seed(40)
     for ch in (random_channel(rng, 3, 3, 3), random_channel(rng, 2, 4, 5)):
         for p in (2, 3):
             sampled_nu_p(ch, p, 1000, rng, FAST)
-            assert solved == [] and len(scored) == 1
+            assert solved == [] and len(scored) > 1
+            assert sum(len(m) for _, m, _ in scored) == 1000
             scored.clear()
 
 
 def test_sampled_nu_p_scores_samples_by_their_output_p_norm(monkeypatch):
-    _, scored = _sample_spy(monkeypatch, 1000)
+    _, scored = _sample_spy(monkeypatch)
     rng = rng_from_seed(41)
     ch = random_channel(rng, 3, 4, 2)
     for p in (1.5, 2, 3, math.inf):
         scored.clear()
         value = sampled_nu_p(ch, p, 1000, rng, FAST)
-        [(kern, m, obj)] = scored
-        w = np.clip(np.linalg.eigvalsh(kern.gram(m)), 0.0, None)
-        assert np.abs(np.exp(obj) - pnorm(w, p)).max() < 1e-12
-        assert value >= np.exp(obj).max() - 1e-15
+        assert sum(len(m) for _, m, _ in scored) == 1000
+        for kern, m, obj in scored:
+            w = np.clip(np.linalg.eigvalsh(kern.gram(m)), 0.0, None)
+            assert np.abs(np.exp(obj) - pnorm(w, p)).max() < 1e-12
+            assert value >= np.exp(obj).max() - 1e-15
+
+
+def _one_stack_sampled_nu_p(ch, p, n_samples, rng, opts):
+    """``sampled_nu_p`` as it scored every sample in one stack: the
+    reference that its blocks must reproduce bit for bit."""
+    d = ch.d_in
+    batch = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d))
+    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+    kern = purity._side_kernel(ch)
+    _, log_vals = purity._ascent_operator(kern, kern.outputs(batch), p)
+    best = int(np.argmax(log_vals))
+    rep = purity._multistart(kern, p, replace(opts, restarts=0), initial_states=[batch[best]])
+    return min(max(math.exp(log_vals[best]), rep.value), 1.0)
+
+
+@pytest.mark.parametrize("shape, flipped", [((3, 4, 2), True), ((3, 3, 4), False)])
+def test_sampled_nu_p_blocks_keep_the_one_stack_draws_and_pick(monkeypatch, shape, flipped):
+    ch = random_channel(rng_from_seed(42), *shape)
+    assert purity._flips(ch) == flipped
+    kern = purity._side_kernel(ch)
+    # The sample each side polishes from.
+    picked, real_run = [], purity._multistart
+    monkeypatch.setattr(
+        purity,
+        "_multistart",
+        lambda k, p, opts, initial_states: picked.append(initial_states[0])
+        or real_run(k, p, opts, initial_states=initial_states),
+    )
+    for rows in (1, 5):
+        monkeypatch.setattr(purity, "SAMPLE_BLOCK_ENTRIES", rows * kern.n * kern.d_out)
+        for p in (1.5, 2, 3, math.inf):
+            # One sample, exactly one block, one block and one, several blocks.
+            for n_samples in (1, rows, rows + 1, 4 * rows + 3):
+                picked.clear()
+                got_rng, want_rng = rng_from_seed(43), rng_from_seed(43)
+                got = sampled_nu_p(ch, p, n_samples, got_rng, FAST)
+                want = _one_stack_sampled_nu_p(ch, p, n_samples, want_rng, FAST)
+                assert got.hex() == want.hex()
+                assert picked[0].tobytes() == picked[1].tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sampled_nu_p_memory_does_not_grow_with_the_sample_count():
+    # One stack of 100 000 samples peaked at 47 MiB here.
+    ch = random_channel(rng_from_seed(44), 3, 3, 3)
+    tracemalloc.start()
+    try:
+        sampled_nu_p(ch, 2, 100_000, rng_from_seed(45), FAST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_sampled_nu_p_takes_only_an_integer_sample_count_of_at_least_one():
+    ch = random_channel(rng_from_seed(46), 2, 2, 2)
+    for n_samples in (0, -3, 2.5, True):
+        rng = rng_from_seed(47)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n_samples"):
+            sampled_nu_p(ch, 2, n_samples, rng, FAST)
+        assert rng.bit_generator.state == state
+    counted = sampled_nu_p(ch, 2, np.int64(7), rng_from_seed(47), FAST)
+    assert counted == sampled_nu_p(ch, 2, 7, rng_from_seed(47), FAST)
