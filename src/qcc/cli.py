@@ -528,10 +528,10 @@ def cmd_gl(args) -> tuple[dict, int]:
     # verify
     from .random import derived_rng, random_density
 
-    res1, res2 = glmod.verify_gl_identity(ch, p)
+    om = glmod.omega(ch, p)
+    res1, res2 = glmod._identity_residuals(ch, p, om)
     rng = derived_rng(args.seed, 0)
     mixed_err = 0.0
-    om = glmod.omega(ch, p)
     for _ in range(args.trials):
         rho = random_density(ch.d_in, rng)
         mixed_err = max(

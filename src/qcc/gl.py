@@ -146,7 +146,12 @@ def verify_gl_identity(ch: KrausChannel, p: int) -> tuple[float, float]:
     require): ``||omega - theta(conjugate)^+||_F`` and
     ``||omega - theta L_p||_F``.  ``theta L_p`` is formed by permuting
     theta's columns, not by a matrix product."""
-    om = omega(ch, p)
+    return _identity_residuals(ch, p, omega(ch, p))
+
+
+def _identity_residuals(ch: KrausChannel, p: int, om: np.ndarray) -> tuple[float, float]:
+    """:func:`verify_gl_identity`'s residuals for ``om = omega(ch, p)``
+    already formed, so that a caller that needs omega too forms it once."""
     res1 = frobenius(om - dagger(theta(conjugate_kraus(ch), p)))
     res2 = frobenius(om - _times_left_shift(theta(ch, p), p, ch.d_in))
     return res1, res2

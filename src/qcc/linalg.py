@@ -193,7 +193,7 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     Uses singular values, so ``m`` need not be Hermitian.  ``p = inf``
     returns the largest singular value.  See :func:`pnorm` for large ``p``.
     """
-    if p < 1:
+    if not p >= 1:  # nan included
         raise ValueError(f"Schatten norm requires p >= 1, got {p}")
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:

@@ -560,7 +560,10 @@ def majorization_bound(ch: PauliDiagonalChannel, p: float) -> MajorizationBound:
     forms a subgroup, the attainability precondition for the bound.  Weights
     straddling a block boundary within ``1e-12`` make the partition
     ill-defined; that is reported as ``ambiguous`` instead of tie-breaking.
+    A ``p`` that is not at least 1, nan included, is refused.
     """
+    if not p >= 1:
+        raise ValueError(f"p must be at least 1, got {p}")
     d = ch.d
     w = ch.weights
     order = np.argsort(-w, kind="stable")

@@ -52,22 +52,14 @@ in ``sigma`` for every ``p >= 1``, so each lies above its linearization
 input, which maximizes that linearization over pure inputs, never
 descends: the convex-maximization argument of the generalized power method
 (Journee, Nesterov, Richtarik and Sepulchre, JMLR 11, 2010).
-At p = 2 and 3, ``sigma^(p-1)`` is ``p - 2`` matrix products of the Gram
-matrix and ``Tr sigma^p`` an entrywise sum, so a step makes one
-eigendecomposition, of the input operator.  Any other p, and the entropy,
-take the output eigenpairs, p with the power relative to ``lambda_max``;
-``p = inf`` takes the limit of the power, the projector on the top output
-eigenvector.  Both engines run all restarts together as one stack, in
-one loop (:func:`_lockstep`); a restart leaves the stack once it meets its
-stopping rule.  Where the fixed point converges slowly, its error shrinks
-by a nearly fixed rate ``rho`` per step, so every ``JUMP_EVERY`` (6) steps
-a restart whose last two steps shrank by a rate inside ``JUMP_RATES`` (0.1
-to 0.995) also tries the Aitken jump to the limit of that geometric
-sequence, from its last three iterates with their global phases aligned.
-The trials are evaluated in the step's own objective call, and a restart
-takes its trial only where it ascends strictly further than the plain
-step: the ascent stays monotone, and a step still makes one input
-eigendecomposition and at most one batched output eigendecomposition.
+At p = 2 and 3 a step makes one eigendecomposition, of the input operator;
+any other p, and the entropy, also eigensolve the outputs
+(:func:`_ascent_operator`).  Both engines run all restarts together as one
+stack, in one loop (:func:`_lockstep`); a restart leaves the stack once
+:func:`_stopped` says so.  Where the fixed point converges slowly, its
+error shrinks by a nearly fixed rate ``rho`` per step, so it also tries
+the Aitken jump to the limit of that geometric sequence (:func:`_jumps`),
+and takes it only where it ascends strictly further than the plain step.
 
 A run's starts are the ``initial_states`` that the gap reruns and
 :func:`sampled_nu_p` seed it with, followed by ``restarts`` Haar states,
@@ -78,18 +70,18 @@ read-only in a small cache and shared by every run with the same three.
 A fixed-point step builds and eigensolves the whole ``d_in x d_in``
 operator ``Phi^+(X)``.  Where that is costly, for p in [1, 2) and the
 entropy on kernels with ``d_in^2 d_out > FIXED_POINT_SIZE``, Riemannian
-gradient ascent on the unit sphere runs instead, on the same stack, and
-needs only the vectors ``Phi^+(X) psi``.  p >= 2 stays on the fixed
-point at every size: the gradient's objective ``Tr sigma^p`` underflows
-at large p, and it has no form at p = inf.  Each gradient step moves along
-the tangent gradient ``r = g - psi <psi, g>`` and renormalizes.  Each
-restart's step length opens at the Barzilai-Borwein length of its last
-step and is halved until Armijo's condition holds, so every accepted step
-ascends.  The step is taken along ``r``, not ``g``: the radial part of
-``g`` is ``Tr sigma h(sigma)``, so after renormalization a step along
-``g`` stops growing with its length while Armijo's bound keeps growing,
-and on flat or degenerate landscapes the ascent crawls for thousands of
-iterations.
+gradient ascent on the unit sphere runs instead (:func:`_gradient`), on
+the same stack, and needs only the vectors ``Phi^+(X) psi``.  Both engines
+take ``X`` and the log-objective from :func:`_ascent_operator`, so the
+gradient climbs the function that the fixed point's convexity argument
+covers.  p >= 2 stays on the fixed point at every size, since it was
+measured faster there: on the bench's ``rand4x16^2`` gap at p = 2, a
+``(16, 16)`` product kernel, the gradient took 1.3-1.7x its time.  p = inf
+has no gradient form.  A gradient step moves along the tangent gradient
+``r = g - psi <psi, g>``, not ``g``: the radial part ``<psi, g>`` of ``g``
+is lost in the renormalization, so a step along ``g`` stops growing with
+its length while Armijo's bound keeps growing, and on flat or degenerate
+landscapes the ascent crawls for thousands of iterations.
 """
 
 from __future__ import annotations
@@ -324,10 +316,12 @@ def _entropy_nat(w: np.ndarray) -> np.ndarray:
 
 
 def _ascent_operator(kern: _Kernel, m: np.ndarray, p):
-    """The fixed point's output operator ``X`` and its log-objective, for
-    the outputs ``m`` of a state stack: ``X`` a positive multiple of
+    """Both engines' output operator ``X`` and log-objective, for the
+    outputs ``m`` of a state stack: ``X`` a positive multiple of
     ``sigma^(p-1)`` and ``log ||sigma||_p`` for a number ``p``, and for
-    ``p = None`` ``X = log sigma`` and ``-S(sigma)`` in nats.
+    ``p = None`` ``X = log sigma`` and ``-S(sigma)`` in nats.  It is the
+    only code that forms either: the fixed point pulls ``X`` back through
+    the adjoint, the gradient engine through :meth:`_Kernel.pull_back`.
 
     At p = 2 and 3, ``X = sigma^(p-1)`` is built by ``p - 2`` matrix
     products and ``Tr sigma^p`` is the entrywise sum
@@ -335,7 +329,7 @@ def _ascent_operator(kern: _Kernel, m: np.ndarray, p):
     the output eigenpairs, with the power relative to ``lambda_max``, which
     leaves the principal eigenvector of ``Phi^+(X)`` unchanged and keeps it
     from underflowing at large p.  The entropy's ``log sigma`` clamps the
-    eigenvalues at ``1e-18``, as the gradient engine's tangent does.
+    eigenvalues at ``1e-18``.
     """
     if p in (2, 3):
         sigma = kern.gram(m)
@@ -401,6 +395,19 @@ def _lockstep(psi: np.ndarray, carry: tuple, step, max_iter: int):
     return psi, iters, conv
 
 
+def _stopped(before: np.ndarray, after: np.ndarray, p, tol: float) -> np.ndarray:
+    """Both engines' stopping test on a step that moved each row's
+    log-objective from ``before`` to ``after``: ``|expm1(e (before -
+    after))| <= tol``.  ``e = p`` for a number p, so that this is the
+    relative change of ``Tr sigma^p``; ``e = 1`` at p = inf and for the
+    entropy, whose rows, where ``S`` shrinks geometrically towards a pure
+    output, stop once the change itself is small."""
+    exponent = 1.0 if p is None or math.isinf(p) else p
+    # A change too large for a double overflows to inf, which is not done.
+    with np.errstate(over="ignore"):
+        return np.abs(np.expm1(exponent * (before - after))) <= tol
+
+
 def _fixed_point(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
     """Fixed-point ascent of ``Tr sigma^p`` (``lambda_max`` at p = inf; for
     ``p = None``, ``-S(sigma)``) from every row of ``psi`` at once: each
@@ -414,16 +421,9 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
     tries the jump of :func:`_jumps` from its last three iterates.  The
     trials share the step's one :func:`_ascent_operator` call, and a restart
     takes its trial only where the trial's objective is strictly higher
-    than the plain step's, so every step still ascends.
-
-    A restart stops when the relative change of ``Tr sigma^p`` falls to
-    ``tol``; for the entropy, when ``|expm1(Delta S)|`` does, so that a
-    restart whose entropy shrinks geometrically towards a pure output stops
-    once the change itself is small.
+    than the plain step's, so every step still ascends.  A restart stops
+    by :func:`_stopped`.
     """
-    # Tr sigma^p changes by the p-th power of the ratio of the norms; -S is
-    # its own log-objective.
-    exponent = 1.0 if p is None or math.isinf(p) else p
 
     def step(it, carry):
         # back2 and back1: the live restarts' iterates two steps and one step back.
@@ -439,10 +439,7 @@ def _fixed_point(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
             take = rows[up]
             new[take], x[take], val[take] = trial[up], x[n:][up], val[n:][up]
             x, val = x[:n], val[:n]
-        # A change too large for a double overflows to inf, which is not done.
-        with np.errstate(over="ignore"):
-            done = np.abs(np.expm1(exponent * (obj - val))) <= tol
-        return new, done, (x, val, back1, new)
+        return new, _stopped(obj, val, p, tol), (x, val, back1, new)
 
     return _lockstep(psi, (*_ascent_operator(kern, kern.outputs(psi), p), psi, psi), step, max_iter)
 
@@ -451,28 +448,29 @@ def _gradient(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
     """Riemannian gradient ascent on the unit sphere with a Barzilai-Borwein
     step length and backtracking, from every row of ``psi`` at once.
 
-    Maximizes ``Tr sigma^p`` when ``p`` is given, else ``-S(sigma)``.  With
-    ``g`` the gradient, each step moves along the tangent gradient
-    ``r = g - psi <psi, g>`` to ``normalize(psi + t r)``.  Each restart's
-    trial length ``t`` is the Barzilai-Borwein length ``<s, s> / -Re<s, y>``
-    of its last step ``s`` and the change ``y`` of ``r`` (twice the last
+    Ascends the fixed point's log-objective, with ``X`` and the objective
+    from :func:`_ascent_operator`.  Its gradient is ``g = Phi^+(X) psi``,
+    over ``Tr sigma X = <psi, g>`` for a p-norm; the entropy's differs from
+    ``g`` by ``psi``, which the tangent ``r = g - psi <psi, g>`` drops.
+    Each step moves to ``normalize(psi + t r)``.  Each restart's trial
+    length ``t`` is the Barzilai-Borwein length ``<s, s> / -Re<s, y>`` of
+    its last step ``s`` and the change ``y`` of ``r`` (twice the last
     length when the curvature is not negative), and it is halved until
     Armijo's condition holds, so every accepted step ascends.  A halving
-    re-evaluates only the restarts still backtracking, and a trial
-    evaluates only the objective; a step forms the tangent once, at the
-    accepted points only.
+    re-evaluates only the restarts still backtracking, and a step forms
+    the tangent once, at the accepted points only.
     """
 
     def objective(psi):
-        # The objective, and the outputs and eigenpairs that its tangent needs.
+        # The log-objective, and the outputs and X that its tangent needs.
         m = kern.outputs(psi)
-        w, u = kern.eigh(m)
-        return ((w**p).sum(axis=-1) if p is not None else -_entropy_nat(w)), (psi, m, w, u)
+        x, val = _ascent_operator(kern, m, p)
+        return val, (psi, m, x)
 
-    def tangent(psi, m, w, u):
-        h = p * _support_power(w, p - 1) if p is not None else np.log(np.maximum(w, 1e-18)) + 1.0
-        g = kern.pull_back(m, _output_operator(u, h))
-        return g - psi * np.einsum("ri,ri->r", psi.conj(), g)[:, None]
+    def tangent(psi, m, x):
+        g = kern.pull_back(m, x)
+        c = np.einsum("ri,ri->r", psi.conj(), g)[:, None]
+        return g - psi * c if p is None else g / c.real - psi
 
     def step(it, carry):
         psi, r, phi, t = carry
@@ -501,8 +499,7 @@ def _gradient(kern: _Kernel, psi: np.ndarray, p, tol: float, max_iter: int):
         curvature = -_re_dot(s, y)
         t = np.minimum(np.divide(_re_dot(s, s), curvature, out=2.0 * t, where=curvature > 0), 1e6)
         # A restart that could not ascend keeps phi, so it stops where it is.
-        done = np.abs(phi_new - phi) <= tol * np.maximum(np.abs(phi_new), 1e-12)
-        return new, done, (new, r_new, phi_new, t)
+        return new, _stopped(phi, phi_new, p, tol), (new, r_new, phi_new, t)
 
     phi, at = objective(psi)
     return _lockstep(psi, (psi, tangent(*at), phi, np.ones(len(psi))), step, max_iter)

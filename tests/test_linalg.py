@@ -89,6 +89,12 @@ def test_schatten_norm_rejects_small_p():
         schatten_norm(np.eye(2), 0.5)
 
 
+def test_schatten_norm_rejects_nan_p():
+    # nan fails every comparison, so a guard on p < 1 let it through to a nan norm.
+    with pytest.raises(ValueError, match="requires p >= 1"):
+        schatten_norm(np.eye(2), math.nan)
+
+
 def test_nonzero_spectrum_cutoff():
     sp = nonzero_spectrum(np.diag([1.0, 1e-14]))
     assert len(sp) == 1 and abs(sp.values[0] - 1.0) < 1e-15

@@ -439,6 +439,15 @@ def test_norm_formulas_do_not_underflow_at_large_p():
     assert abs(pm.qubit_nu_p_closed_form([0.7, 0.1, 0.1, 0.1], 5000) - 0.8) < 1e-12
 
 
+def test_majorization_bound_refuses_p_below_one_and_nan():
+    # The bound was 1.8 at p = 0.5 and nan at p = nan on this channel.
+    ch = pm.pauli_channel(pm.build_basis(2), np.array([0.7, 0.1, 0.1, 0.1]))
+    for p in (0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            pm.majorization_bound(ch, p)
+    assert abs(pm.majorization_bound(ch, 1).bound - 1.0) < 1e-15
+
+
 def test_majorization_bound_ambiguity_flag():
     b2 = pm.build_basis(2)
     mb = pm.majorization_bound(pm.pauli_channel(b2, pm.depolarizing_weights(2, 0.5)), 2)

@@ -888,6 +888,105 @@ def test_gradient_engine_runs_each_row_as_it_would_alone():
     assert total == 90 and same >= 0.9 * total
 
 
+def test_gradient_engine_skips_the_output_eigendecomposition_at_p_2_and_3(monkeypatch):
+    # The gradient takes its objective and X from _ascent_operator, so at p
+    # = 2 and 3 it makes no eigensolve at all; at any other p, one batched
+    # eigensolve of the outputs per objective call, trials included.
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    rng = rng_from_seed(42)
+    for kern in _kernels(rng):
+        evaluated = []
+        kern.outputs = lambda psi, real=kern.outputs: evaluated.append(len(psi)) or real(psi)
+        psi0 = np.stack([haar_state(kern.d_in, rng) for _ in range(3)])
+        for p, per_call in ((2, 0), (3, 0), (2.5, 1), (1.5, 1)):
+            calls.clear()
+            evaluated.clear()
+            purity._gradient(kern, psi0, p, 1e-12, 2000)
+            assert len(calls) == per_call * len(evaluated)
+            assert all(shape[-2:] == (kern.d_out, kern.d_out) for shape in calls)
+
+
+def test_gradient_engine_tangent_is_the_log_objectives_gradient(monkeypatch):
+    # Along a tangent direction v, the log-objective, log ||sigma||_p or
+    # -S, changes at the rate 2 Re <v, r>, with r the tangent the engine
+    # forms at its start, read off a central difference.  For a p-norm, the
+    # tangent of Phi^+(X) psi not divided by Tr sigma X is off by that
+    # factor and fails this.
+    starts = []
+    monkeypatch.setattr(purity, "_lockstep", lambda psi, carry, step, max_iter: starts.append(carry))
+    rng = rng_from_seed(44)
+    h = 1e-6
+    for kern in _kernels(rng):
+        for p in (1.5, 2, 3, None):
+            psi = np.stack([haar_state(kern.d_in, rng) for _ in range(3)])
+            starts.clear()
+            purity._gradient(kern, psi, p, 1e-12, 2000)
+            r = starts[0][1]
+            v = np.stack([haar_state(kern.d_in, rng) for _ in range(3)])
+            v -= psi * np.einsum("ri,ri->r", psi.conj(), v)[:, None]
+
+            def f(t):
+                moved = psi + t * v
+                w = kern.spectrum(moved / np.linalg.norm(moved, axis=-1, keepdims=True))
+                return -purity._entropy_nat(w) if p is None else np.log(pnorm(w, p))
+
+            rate = (f(h) - f(-h)) / (2 * h)
+            assert np.abs(rate - 2 * purity._re_dot(v, r)).max() < 1e-6
+
+
+def test_gradient_engine_reaches_the_fixed_points_values():
+    # Both engines climb _ascent_operator's log-objective.  From 24 shared
+    # starts they reach the same best value.  From 8, at two of the seeds
+    # 42-49, a product kernel left the two on different local optima.
+    rng = rng_from_seed(43)
+    for kern in _kernels(rng):
+        psi0 = np.stack([haar_state(kern.d_in, rng) for _ in range(24)])
+        for p in (2, 3, 1.5, None):
+            best = []
+            for engine in (purity._fixed_point, purity._gradient):
+                w = kern.spectrum(engine(kern, psi0, p, 1e-12, 2000)[0])
+                best.append((-purity._entropy_nat(w) if p is None else pnorm(w, p)).max())
+            assert abs(best[0] - best[1]) < 1e-8
+
+
+def test_each_engine_stops_exactly_where_the_shared_test_says(monkeypatch):
+    # Each step's iterate is recorded and its log-objective recomputed
+    # apart from the engine: a one-row run stops at the first step whose
+    # change passes |expm1(e (before - after))| <= tol, e = p for a number
+    # p and 1 at p = inf and for the entropy, and at no other step.
+    steps = []
+    real = purity._lockstep
+
+    def recording(psi, carry, step, max_iter):
+        def recorded(it, carry):
+            new, done, carry = step(it, carry)
+            steps.append((new.copy(), bool(done[0])))
+            return new, done, carry
+
+        return real(psi, carry, recorded, max_iter)
+
+    monkeypatch.setattr(purity, "_lockstep", recording)
+    rng = rng_from_seed(43)
+    tol = 1e-10
+    for kern in _kernels(rng):
+        for engine, ps in (
+            (purity._fixed_point, (2, 1.5, math.inf, None)),
+            (purity._gradient, (2, 1.5, None)),
+        ):
+            for p in ps:
+                steps.clear()
+                psi0 = haar_state(kern.d_in, rng)[None]
+                _, (it,), (converged,) = engine(kern, psi0, p, tol, 2000)
+                states = [psi0] + [state for state, _ in steps]
+                vals = [purity._ascent_operator(kern, kern.outputs(s), p)[1][0] for s in states]
+                e = 1.0 if p is None or math.isinf(p) else p
+                want = [abs(math.expm1(e * (a - b))) <= tol for a, b in zip(vals, vals[1:])]
+                assert converged and len(steps) == it
+                assert [done for _, done in steps] == want
+
+
 def test_nu_p_value_matches_state():
     rng = rng_from_seed(2)
     ch = random_channel(rng, 2, 3, 3)
