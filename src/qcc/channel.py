@@ -14,7 +14,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_TOL,
     MAX_DIM,
     as_complex,
+    canonical_gram_eigh,
     canonical_hermitian_eigh,
     dagger,
     frobenius,
@@ -65,11 +66,17 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Choi-Jamiolkowski state of a channel, input copy (x) output copy."""
+    """Choi-Jamiolkowski state of a channel, input copy (x) output copy.
+
+    ``factor``, when given, is an ``n x r`` matrix ``t`` with ``gamma = t
+    t^+`` (``n = d_in d_out``), from which :func:`choi_eigenpairs` takes
+    the spectrum by an SVD instead of an eigensolve of ``gamma``.
+    """
 
     d_in: int
     d_out: int
     gamma: np.ndarray
+    factor: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         g = as_complex(self.gamma)
@@ -78,6 +85,12 @@ class ChoiMatrix:
             raise ValueError(f"gamma must be {n}x{n}, got {g.shape}")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
+        if self.factor is not None:
+            t = as_complex(self.factor)
+            if t.ndim != 2 or t.shape[0] != n:
+                raise ValueError(f"factor must have {n} rows, got shape {t.shape}")
+            t.setflags(write=False)
+            object.__setattr__(self, "factor", t)
 
     def input_marginal(self) -> np.ndarray:
         return partial_trace(self.gamma, (self.d_in, self.d_out), keep="A")
@@ -202,7 +215,10 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausChannel:
     """Minimal Kraus list from the Choi eigendecomposition.
 
     One operator per eigenpair of :func:`choi_eigenpairs`, so their number
-    is the Choi rank at the relative cutoff ``DEFAULT_TOL``.
+    is the Choi rank at the relative cutoff ``DEFAULT_TOL``.  A Choi matrix
+    that carries its ``factor`` (the conjugate's, from
+    :func:`qcc.conjugate.conjugate_choi`) is decomposed by an SVD of the
+    factor; one without it, by a dense eigensolve.
     """
     lam, vecs = choi_eigenpairs(choi)
     d, dp = choi.d_in, choi.d_out
@@ -225,6 +241,10 @@ def choi_eigenpairs(
     checks, and ``check_rank`` when given, run on the eigenvalues with the
     Choi rank ``kappa`` before any eigenvector is canonicalized, so a caller
     that refuses an oversized ``kappa`` pays for the eigensolve alone.
+
+    When ``choi`` carries a ``factor``, the pairs come from its SVD through
+    :func:`qcc.linalg.canonical_gram_eigh`, which agrees with the dense
+    eigensolve to rounding.
     """
 
     def rank(w: np.ndarray) -> int:
@@ -239,7 +259,10 @@ def choi_eigenpairs(
             check_rank(kappa)
         return kappa
 
-    w, v = canonical_hermitian_eigh(choi.gamma, rank)
+    if choi.factor is None:
+        w, v = canonical_hermitian_eigh(choi.gamma, rank)
+    else:
+        w, v = canonical_gram_eigh(choi.factor, rank)
     return w[: v.shape[1]], v
 
 

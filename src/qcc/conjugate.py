@@ -10,31 +10,38 @@ conjugate differ only by conjugation with a partial isometry of rank equal
 to the parent's Kraus rank.
 
 :func:`find_relating_isometry` finds that partial isometry ``W`` (shape
-``n1 x n2``, the two output dimensions) with at most two candidates, the
-second only when the first fails:
+``n1 x n2``, the two output dimensions) from at most two candidates:
 
-1. index-matched Kraus lists (equal counts) are tried as they stand, by
-   least squares on ``A_mu = W B_mu``;
+1. index-matched Kraus lists (equal counts) give the least-squares solution
+   of ``A_mu = W B_mu``;
 2. the intertwiner system ``ch1(E_ab) T = T ch2(E_ab)`` is solved on the
    side of the pair with fewer unknowns.  With ``m1, m2`` the Kraus counts,
-   ``n1 n2 <= m1 m2`` solves it for ``W`` directly.  Otherwise it is solved
-   on the Kraus-swapped pair: ``conjugate_kraus(ch1)`` and
-   ``conjugate_kraus(ch2)`` are related by a partial isometry ``U``
-   (``m1 x m2``), since two Stinespring dilations of one channel agree up to
-   a partial isometry on the environment, and ``W`` is then the
-   index-matched least-squares solution of ``A_mu = W sum_nu U_mu,nu B_nu``.
-   The conjugates of a ``(d, D, n)`` channel have output dimension ``n`` and
-   at most ``D`` Kraus operators, so this system never exceeds ``D^2``
-   unknowns.
+   ``n1 n2 <= m1 m2`` solves it for ``W`` directly, from the two channels'
+   Choi matrices.  Otherwise it is solved on the Kraus-swapped pair:
+   ``conjugate_kraus(ch1)`` and ``conjugate_kraus(ch2)`` are related by a
+   partial isometry ``U`` (``m1 x m2``), since two Stinespring dilations of
+   one channel agree up to a partial isometry on the environment, and ``W``
+   is then the index-matched least-squares solution of
+   ``A_mu = W sum_nu U_mu,nu B_nu``.  The conjugates of a ``(d, D, n)``
+   channel have output dimension ``n`` and at most ``D`` Kraus operators, so
+   this system never exceeds ``D^2`` unknowns.
+
+The least-squares candidate is checked first when its own misfit
+``||A_mu - W B_mu||`` is below ``tol``, which shows the lists are
+index-matched; otherwise it is checked after the intertwiner's, and each
+candidate is checked only when the ones before it fail.
 
 When the intertwiner's null space has more than one dimension (a channel
 with symmetry), its vectors are ``W`` times elements of the output algebra's
 commutant, and only an invertible one snaps to a relating ``W``; a fixed
 generic combination of the null basis is taken.  Candidates are snapped to
 a partial isometry at numerical rank and accepted only by their residual on
-all matrix-unit inputs.  A pair with a channel of ``d_in d_out > MAX_DIM^2``
-or whose smaller system has more than ``MAX_DIM^2`` unknowns is refused with
-a ``ValueError`` before any work.
+all matrix-unit inputs, read off the two Kraus stacks: with ``A`` ch1's
+``(d_in n1) x m1`` column stack and ``B`` ``W`` applied to ch2's, block
+``(a, b)`` of ``A A^+ - B B^+`` is ``ch1(E_ab) - W ch2(E_ab) W^+``.  Choi
+matrices are formed only for the direct intertwiner.  A pair with a
+channel of ``d_in d_out > MAX_DIM^2`` or whose smaller system has more than
+``MAX_DIM^2`` unknowns is refused with a ``ValueError`` before any work.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import numpy as np
 
 from . import channel as chn
 from .channel import AncillaRep, ChoiMatrix, KrausChannel, KrausRelation
-from .linalg import MAX_DIM, dagger
+from .linalg import MAX_DIM, dagger, frobenius
 
 
 class NotConjugateError(ValueError):
@@ -84,6 +91,9 @@ def conjugate_choi(choi: ChoiMatrix) -> ChoiMatrix:
     :func:`qcc.channel.choi_eigenpairs`), the result is ``(d_in kappa)^2``; a
     ``ValueError`` is raised when ``d_in kappa > MAX_DIM^2``, as soon as the
     eigensolve gives ``kappa`` and before any eigenvector is canonicalized.
+    The result carries its purification factor (``(d_in kappa) x d_out``),
+    so that :func:`qcc.channel.choi_to_kraus` reads its Kraus list off an
+    SVD of the factor instead of eigensolving the result again.
     """
     d, dp = choi.d_in, choi.d_out
 
@@ -100,12 +110,16 @@ def conjugate_choi(choi: ChoiMatrix) -> ChoiMatrix:
     z = vecs.T.reshape(kappa, d, dp)
     t = np.sqrt(lam)[:, None, None] * z
     t = t.transpose(1, 0, 2).reshape(d * kappa, dp)
-    gamma_ac = t @ dagger(t)
-    return ChoiMatrix(d_in=d, d_out=kappa, gamma=gamma_ac)
+    return ChoiMatrix(d_in=d, d_out=kappa, gamma=t @ dagger(t), factor=t)
 
 
 def conjugate_channel(ch: KrausChannel, method: str = "kraus") -> KrausChannel:
-    """Conjugate of ``ch`` as a Kraus channel, by the requested route."""
+    """Conjugate of ``ch`` as a Kraus channel, by the requested route.
+
+    The ``"choi"`` route purifies ``ch``'s Choi matrix (one dense eigensolve
+    of its ``(d_in d_out)^2`` matrix) and takes the conjugate's minimal Kraus
+    list from an SVD of the purification factor.
+    """
     if method == "kraus":
         return conjugate_kraus(ch)
     if method == "ancilla":
@@ -123,21 +137,18 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(r1 * r2, c1 * c2)
 
 
-def _matrix_unit_residual(c1: ChoiMatrix, c2: ChoiMatrix, w: np.ndarray) -> float:
-    """max_ab || ch1(E_ab) - W ch2(E_ab) W^+ ||_F, read off the two channels'
-    Choi matrices: ``d_in (Gamma_1 - (I (x) W) Gamma_2 (I (x) W)^+)`` holds
-    ``ch1(E_ab) - W ch2(E_ab) W^+`` as its block ``(a, b)``."""
-    d, n1 = c1.d_in, c1.d_out
-    iw = _kron(np.eye(d), w)
-    delta = d * (c1.gamma - iw @ c2.gamma @ dagger(iw))
-    blocks = delta.reshape(d, n1, d, n1)
-    return float(
-        max(
-            np.linalg.norm(blocks[a, :, b, :])
-            for a in range(d)
-            for b in range(d)
-        )
-    )
+def _matrix_unit_residual(ch1: KrausChannel, ch2: KrausChannel, w: np.ndarray) -> float:
+    """max_ab || ch1(E_ab) - W ch2(E_ab) W^+ ||_F, read off the two Kraus
+    stacks: with ``A[(a, m), mu] = F1_mu[m, a]`` and ``B`` the same stack of
+    ch2 with ``W`` applied to each of its ``d_in`` row blocks, ``A A^+ - B
+    B^+`` holds ``ch1(E_ab) - W ch2(E_ab) W^+`` as its block ``(a, b)``."""
+    d, n1 = ch1.d_in, ch1.d_out
+    a = ch1.kraus.transpose(2, 1, 0).reshape(d * n1, ch1.n_kraus)
+    b = (w @ ch2.kraus.transpose(2, 1, 0)).reshape(d * n1, ch2.n_kraus)
+    delta = (a @ dagger(a) - b @ dagger(b)).reshape(d, n1, d, n1)
+    # One row of squared moduli per block (a, b), each summed in row order.
+    sq = (delta.real**2 + delta.imag**2).transpose(0, 2, 1, 3).reshape(d * d, n1 * n1)
+    return float(np.sqrt(sq.sum(axis=1).max()))
 
 
 def _snap_to_partial_isometry(w: np.ndarray) -> tuple[np.ndarray, int]:
@@ -151,14 +162,16 @@ def _snap_to_partial_isometry(w: np.ndarray) -> tuple[np.ndarray, int]:
     return u[:, :rank] @ vh[:rank], rank
 
 
-def _stacked_ls_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray | None:
-    """Least-squares W for index-matched lists: min sum_mu ||A_mu - W B_mu||."""
+def _stacked_ls_candidate(ch1: KrausChannel, ch2: KrausChannel) -> tuple[np.ndarray, float] | None:
+    """Least-squares W for index-matched lists, min sum_mu ||A_mu - W B_mu||,
+    and its misfit ``||A - W B||_F`` over the stacked lists; ``None`` when
+    the Kraus counts differ."""
     if ch1.n_kraus != ch2.n_kraus:
         return None
     a = ch1.kraus.transpose(1, 0, 2).reshape(ch1.d_out, -1)
     b = ch2.kraus.transpose(1, 0, 2).reshape(ch2.d_out, -1)
     wt, *_ = np.linalg.lstsq(b.T, a.T, rcond=None)
-    return wt.T
+    return wt.T, frobenius(a - wt.T @ b)
 
 
 def _intertwiner_normal_matrix(c1: ChoiMatrix, c2: ChoiMatrix) -> np.ndarray:
@@ -214,9 +227,10 @@ def _lifted_candidate(ch1: KrausChannel, ch2: KrausChannel) -> np.ndarray:
         )
     )
     remixed = np.einsum("mn,nab->mab", u, ch2.kraus)
-    return _stacked_ls_candidate(
+    w, _ = _stacked_ls_candidate(
         ch1, KrausChannel(d_in=ch2.d_in, d_out=ch2.d_out, kraus=remixed)
     )
+    return w
 
 
 def find_relating_isometry(
@@ -228,14 +242,16 @@ def find_relating_isometry(
     claim); the result is verified on all matrix-unit inputs and a
     :class:`NotConjugateError` is raised if no candidate reaches ``tol``.
 
-    Candidates are tried in order, each only when the one before it fails:
-    a stacked least-squares solve when the Kraus lists are index-matched
-    (the canonical conjugates are), then the intertwiner system on matrix
-    units, solved for ``W`` directly when ``d_out1 d_out2 <= n_kraus1
-    n_kraus2`` and otherwise on the Kraus-swapped pair and lifted by least
-    squares (see the module docstring).  A degenerate intertwiner null
-    space gives a fixed generic combination of its basis.  Every candidate
-    is projected onto the nearest partial isometry at numerical rank.
+    Candidates are tried in order, each only when the ones before it fail:
+    a stacked least-squares solve when the Kraus counts are equal, first if
+    its misfit is below ``tol`` (index-matched lists, as the canonical
+    conjugates are) and last otherwise, and the intertwiner system on
+    matrix units, solved for ``W`` directly when ``d_out1 d_out2 <=
+    n_kraus1 n_kraus2`` and otherwise on the Kraus-swapped pair and lifted
+    by least squares (see the module docstring).  A degenerate intertwiner
+    null space gives a fixed generic combination of its basis.  Every
+    candidate is projected onto the nearest partial isometry at numerical
+    rank, and its residual is read off the Kraus stacks.
 
     A ``ValueError`` is raised, before anything is computed, when either
     channel has ``d_in d_out > MAX_DIM^2`` or the smaller intertwiner system
@@ -245,29 +261,33 @@ def find_relating_isometry(
         raise ValueError("channels have different input dimensions")
     direct = ch1.d_out * ch2.d_out
     swapped = ch1.n_kraus * ch2.n_kraus
-    # The residual check forms each channel's (d_in d_out)^2 Choi matrix.
+    # The direct intertwiner forms each channel's (d_in d_out)^2 Choi
+    # matrix, and the residual check a matrix of ch1's size.
     choi = ch1.d_in * max(ch1.d_out, ch2.d_out)
     if max(choi, min(direct, swapped)) > MAX_DIM**2:
         raise ValueError(
             f"relating the channels takes {min(direct, swapped)} unknowns and Choi "
             f"matrices of dimension {choi}, which exceeds the supported size ({MAX_DIM**2})"
         )
-    # Both channels' Choi matrices serve the direct intertwiner and every
-    # residual check, so they are formed once.
-    c1, c2 = chn.kraus_to_choi(ch1), chn.kraus_to_choi(ch2)
+    stacked = _stacked_ls_candidate(ch1, ch2)
+    matched = stacked is not None and stacked[1] < tol
 
     def candidates():
-        yield _stacked_ls_candidate(ch1, ch2)
-        yield _intertwiner_candidate(c1, c2) if direct <= swapped else _lifted_candidate(ch1, ch2)
+        if matched:
+            yield stacked[0]
+        if direct <= swapped:
+            yield _intertwiner_candidate(chn.kraus_to_choi(ch1), chn.kraus_to_choi(ch2))
+        else:
+            yield _lifted_candidate(ch1, ch2)
+        if stacked is not None and not matched:
+            yield stacked[0]
 
     best: float | None = None
     for raw in candidates():
-        if raw is None:
-            continue
         w, rank = _snap_to_partial_isometry(raw)
         if rank == 0:
             continue
-        res = _matrix_unit_residual(c1, c2, w)
+        res = _matrix_unit_residual(ch1, ch2, w)
         if res < tol:
             return KrausRelation(w=w, rank=rank, residual=res)
         best = res if best is None else min(best, res)

@@ -114,7 +114,11 @@ def omega(ch: KrausChannel, p: int) -> np.ndarray:
         out = b[: rest * d_in * d_in].reshape(rest, d_in * d_in)
         m = np.matmul(m.reshape(d_out * d_out, rest).T, sup_t, out=out)
         a, b = b, a
-    return _pairs_to_matrix(m, p, d_in, out=np.empty((d_in**p, d_in**p), dtype=complex))
+    # The last GEMM read from b, which is now free.  A result smaller than
+    # the buffers gets its own array, so that it does not keep b alive.
+    n_out = d_in ** (2 * p)
+    out = b[:n_out] if n_out == size else np.empty(n_out, dtype=complex)
+    return _pairs_to_matrix(m, p, d_in, out=out)
 
 
 def power_trace(ch: KrausChannel, rho: np.ndarray, p: int) -> float:
@@ -124,11 +128,13 @@ def power_trace(ch: KrausChannel, rho: np.ndarray, p: int) -> float:
 
 
 def linearized_trace(x: np.ndarray, rho: np.ndarray, p: int) -> complex:
-    """``Tr[rho^(x p) X]`` for a linearization operator ``X``."""
+    """``Tr[rho^(x p) X]`` for a linearization operator ``X``, as the
+    entrywise sum ``sum_ij big_ij X_ji``: ``O(d^(2p))`` work, where the
+    product ``big @ X`` would take ``O(d^(3p))``."""
     big = rho
     for _ in range(p - 1):
         big = np.kron(big, rho)
-    return complex(np.trace(big @ x))
+    return complex(np.sum(big * x.T))
 
 
 def _times_left_shift(m: np.ndarray, p: int, d: int) -> np.ndarray:
@@ -151,7 +157,17 @@ def verify_gl_identity(ch: KrausChannel, p: int) -> tuple[float, float]:
 
 def _identity_residuals(ch: KrausChannel, p: int, om: np.ndarray) -> tuple[float, float]:
     """:func:`verify_gl_identity`'s residuals for ``om = omega(ch, p)``
-    already formed, so that a caller that needs omega too forms it once."""
-    res1 = frobenius(om - dagger(theta(conjugate_kraus(ch), p)))
-    res2 = frobenius(om - _times_left_shift(theta(ch, p), p, ch.d_in))
+    already formed, so that a caller that needs omega too forms it once.
+
+    Each difference is written into the array it subtracts, the conjugate
+    transpose or the column rotation, and each theta is dropped as soon as
+    that array is formed, so at most three ``d^p x d^p`` matrices are live
+    at once.  ``om`` is left as it is."""
+    th = theta(conjugate_kraus(ch), p)
+    diff = np.conjugate(th.T, order="C")
+    del th
+    res1 = frobenius(np.subtract(om, diff, out=diff))
+    del diff
+    diff = _times_left_shift(theta(ch, p), p, ch.d_in)
+    res2 = frobenius(np.subtract(om, diff, out=diff))
     return res1, res2

@@ -73,13 +73,39 @@ def canonical_hermitian_eigh(
     first ``k`` is canonicalized whole before it is cut at ``k``, so column
     ``i`` does not depend on ``k``; eigenspaces that start after it are never
     canonicalized.  The result depends only on ``m``, not on
-    backend-specific eigenvector choices.
+    backend-specific eigenvector choices.  :func:`canonical_gram_eigh` gives
+    the same basis for a matrix held as a factor ``t t^+``.
     """
     w, v = hermitian_eigh(m)
-    n = m.shape[0]
-    k = count(w)
+    return w, _canonical_leading(w, v, count(w))
+
+
+def canonical_gram_eigh(
+    t: np.ndarray, count: Callable[[np.ndarray], int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`canonical_hermitian_eigh` of ``t t^+``, from the SVD of the
+    ``n x r`` factor ``t`` instead of an eigensolve of the ``n x n`` product.
+
+    The eigenvalues are the squared singular values, ``min(n, r)`` of them,
+    non-increasing; the rest of the spectrum of ``t t^+`` is exactly zero.
+    Eigenspaces are grouped, canonicalized and cut at ``count``'s ``k`` as
+    there, so the columns agree with the dense route's to rounding.  The one
+    exception is a kept eigenvalue within the degeneracy window of zero,
+    which the dense route groups with null vectors of ``t t^+`` and this
+    route does not.
+    """
+    u, s, _ = np.linalg.svd(t, full_matrices=False)
+    w = s * s
+    return w, _canonical_leading(w, u, count(w))
+
+
+def _canonical_leading(w: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` columns of the canonical basis for eigenvalues ``w``
+    (non-increasing) and eigenvectors ``v``; see
+    :func:`canonical_hermitian_eigh`."""
+    n = w.size
     scale = max(float(np.abs(w).max()), 1e-300) if n else 1.0
-    out = np.empty((n, k), dtype=v.dtype)
+    out = np.empty((v.shape[0], k), dtype=v.dtype)
     i = 0
     while i < k:
         j = i + 1
@@ -90,7 +116,7 @@ def canonical_hermitian_eigh(
             block = _canonical_subspace_basis(block)
         out[:, i:min(j, k)] = _fix_phases(block[:, : k - i])
         i = j
-    return w, out
+    return out
 
 
 def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:
@@ -219,8 +245,7 @@ def nonzero_spectrum(m: np.ndarray) -> Spectrum:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, _ = hermitian_eigh((m + dagger(m)) / 2)
     cutoff = DEFAULT_TOL * max(float(np.abs(w).max()), 0.0) if w.size else 0.0
-    kept = w[np.abs(w) > cutoff]
-    return Spectrum(values=np.sort(kept)[::-1])
+    return Spectrum(values=w[np.abs(w) > cutoff])
 
 
 def majorizes(a, b, tol: float = DEFAULT_TOL) -> bool:

@@ -267,6 +267,15 @@ def test_ancilla_representation():
     assert chn.choi_distance(chn.ancilla_to_kraus(rep), ch) < 1e-12
 
 
+def test_choi_distance_refuses_channels_between_different_spaces():
+    rng = rng_from_seed(21)
+    a = random_channel(rng, 2, 3, 2)
+    with pytest.raises(ValueError, match="different spaces"):
+        chn.choi_distance(a, random_channel(rng, 2, 2, 3))
+    with pytest.raises(ValueError, match="different spaces"):
+        chn.choi_distance(a, random_channel(rng, 3, 3, 2))
+
+
 def _relate_kraus_sets(f: KrausChannel, g: KrausChannel):
     """The partial isometry ``W`` relating the Kraus-swapped conjugates of
     ``f`` and ``g``, and the largest entry of ``F_j - sum_k w_jk G_k``."""

@@ -144,6 +144,12 @@ def test_pauli_json_round_trip():
     assert back.basis.kind == "pauli_product"
 
 
+def test_pauli_from_obj_refuses_ragged_weights():
+    obj = {"d": 2, "basis": "pauli", "weights": [[0.5, 0.5], [0.0]]}
+    with pytest.raises(ValueError, match="weights must be a flat array of 4 finite doubles"):
+        ser.pauli_from_obj(obj)
+
+
 def test_build_depolarizing_weights(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "build", "depolarizing", "-d", "3", "-b", "0.5", "--pauli-json")
     assert code == 0
@@ -877,6 +883,15 @@ def test_state_files_of_the_wrong_kind_name_what_was_expected(capsys, tmp_path, 
     code, out, err = run_cli(capsys, *argv, "--state", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+def test_pauli_classify_refuses_a_composite_dimension(capsys, tmp_path):
+    # -d 4 builds the product basis on 4 x 4, but the classification needs
+    # two equal prime factors.
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps([[1, 0]] + [[0, 0]] * 15))
+    code, out, err = run_cli(capsys, "pauli", "classify", "-d", "4", "--state", str(path))
+    assert (code, out, err) == (2, "", "error: classification requires two equal prime factors\n")
 
 
 def test_pauli_classify_refuses_the_zero_vector(capsys, tmp_path):

@@ -135,6 +135,62 @@ def test_conjugate_choi_refuses_an_oversized_rank_before_building_a_basis(monkey
     assert calls == [(121, 120)]
 
 
+def structured_channels(d):
+    """The identity, complete dephasing and the completely noisy channel,
+    whose Choi matrices and conjugates' Choi matrices have degenerate
+    spectra."""
+    units = np.eye(d * d).reshape(d * d, d, d)  # E_jk, row-major in (j, k)
+    return [
+        chn.identity_channel(d),
+        KrausChannel(d_in=d, d_out=d, kraus=units[:: d + 1]),
+        KrausChannel(d_in=d, d_out=d, kraus=units / np.sqrt(d)),
+    ]
+
+
+def test_factored_choi_route_matches_the_dense_route_and_stays_minimal(monkeypatch):
+    rng = rng_from_seed(22)
+    cases = [c for d in (2, 3, 4) for c in structured_channels(d)]
+    for shape in ((1, 3, 2), (2, 2, 3), (2, 6, 2), (3, 4, 5), (3, 3, 12), (4, 4, 16), (5, 5, 25)):
+        cases.append(random_channel(rng, *shape))
+    sizes = []
+    inner = linalg.hermitian_eigh
+    monkeypatch.setattr(linalg, "hermitian_eigh", lambda m: sizes.append(m.shape[0]) or inner(m))
+    for ch in cases:
+        sizes.clear()
+        via_choi = conj.conjugate_channel(ch, "choi")
+        # One dense eigensolve, of ch's own Choi matrix.
+        assert sizes == [ch.d_in * ch.d_out], ch.kraus.shape
+        factored = conj.conjugate_choi(chn.kraus_to_choi(ch))
+        dense = chn.ChoiMatrix(d_in=factored.d_in, d_out=factored.d_out, gamma=factored.gamma)
+        via_eigh = chn.choi_to_kraus(dense)
+        assert via_choi.kraus.tobytes() == chn.choi_to_kraus(factored).kraus.tobytes()
+        assert via_choi.kraus.shape == via_eigh.kraus.shape, ch.kraus.shape
+        assert np.abs(via_choi.kraus - via_eigh.kraus).max() <= 1e-13, ch.kraus.shape
+        # Minimal on both sides: the environment is ch's Kraus rank, and the
+        # operator count the conjugate's own.
+        assert via_choi.d_out == chn.kraus_rank(ch)
+        assert via_choi.n_kraus == chn.kraus_rank(conj.conjugate_kraus(ch))
+
+
+def test_every_route_pair_is_related_and_unrelated_conjugates_are_refused():
+    rng = rng_from_seed(23)
+    for shape in ((2, 2, 3), (2, 6, 2), (3, 4, 5), (3, 3, 12), (4, 4, 16)):
+        ch = random_channel(rng, *shape)
+        routes = {m: conj.conjugate_channel(ch, m) for m in ("kraus", "choi", "ancilla")}
+        for a, c1 in routes.items():
+            for b, c2 in routes.items():
+                rel = conj.find_relating_isometry(c1, c2)
+                assert rel.residual < 1e-8 and rel.rank == chn.kraus_rank(ch), (shape, a, b)
+                assert kron_matrix_unit_residual(c1, c2, rel.w) < 1e-8, (shape, a, b)
+    # Conjugates of two different channels, as in the benchmark's rejections.
+    for _ in range(2):
+        c1, c2 = (conj.conjugate_kraus(random_channel(rng, 3, 3, 4)) for _ in range(2))
+        with pytest.raises(conj.NotConjugateError):
+            conj.find_relating_isometry(c1, c2)
+        with pytest.raises(conj.NotConjugateError):
+            conj.find_relating_isometry(c2, c1)
+
+
 def test_conjugate_ancilla_exactly_matches_kraus_swap():
     rng = rng_from_seed(6)
     ch = random_channel(rng, 2, 3, 4)
@@ -339,7 +395,25 @@ def kron_matrix_unit_residual(ch1, ch2, w):
     return float(max(np.linalg.norm(blocks[a, :, b, :]) for a in range(d) for b in range(d)))
 
 
+def kraus_matrix_unit_residual(ch1, ch2, w):
+    """max_ab ||ch1(E_ab) - W ch2(E_ab) W^+||_F from the Kraus operators, one
+    input index a at a time: block a of A holds the columns F_mu[:, a], and
+    block a of B the columns W G_nu[:, a]."""
+    d, n1 = ch1.d_in, ch1.d_out
+    a = np.vstack([np.column_stack([f[:, x] for f in ch1.kraus]) for x in range(d)])
+    b = np.vstack([w @ np.column_stack([g[:, x] for g in ch2.kraus]) for x in range(d)])
+    delta = a @ dagger(a) - b @ dagger(b)
+    worst = 0.0
+    for x in range(d):
+        for y in range(d):
+            block = delta[x * n1 : (x + 1) * n1, y * n1 : (y + 1) * n1]
+            worst = max(worst, float(np.sqrt(np.sum(block.real**2 + block.imag**2))))
+    return worst
+
+
 def test_matrix_unit_residual_equals_the_kron_formula_exactly():
+    # The residual is read off the Kraus stacks: it equals the Kraus-form
+    # reference bit for bit, and the Choi-matrix (kron) formula to rounding.
     rng = rng_from_seed(18)
     for shape in ((3, 4, 5), (2, 2, 3), (4, 4, 16), (2, 6, 2)):
         ch = random_channel(rng, *shape)
@@ -348,10 +422,12 @@ def test_matrix_unit_residual_equals_the_kron_formula_exactly():
             c1, c2 = routes[a], routes[b]
             rel = conj.find_relating_isometry(c1, c2)
             generic = rng.normal(size=rel.w.shape) + 1j * rng.normal(size=rel.w.shape)
+            scale = 1 + np.linalg.norm(chn.kraus_to_choi(c1).gamma)
             for w in (rel.w, generic):
-                got = conj._matrix_unit_residual(chn.kraus_to_choi(c1), chn.kraus_to_choi(c2), w)
-                assert got == kron_matrix_unit_residual(c1, c2, w), (shape, a, b)
-            assert rel.residual == kron_matrix_unit_residual(c1, c2, rel.w)
+                got = conj._matrix_unit_residual(c1, c2, w)
+                assert got == kraus_matrix_unit_residual(c1, c2, w), (shape, a, b)
+                assert abs(got - kron_matrix_unit_residual(c1, c2, w)) <= 1e-13 * scale, (shape, a, b)
+            assert rel.residual == kraus_matrix_unit_residual(c1, c2, rel.w)
 
 
 def kron_normal_matrix(c1, c2):
@@ -377,19 +453,24 @@ def test_intertwiner_normal_matrix_equals_the_kron_formula_byte_for_byte():
 
 
 def test_find_relating_isometry_forms_each_choi_matrix_once(monkeypatch):
-    # (2, 6, 2): the kraus/choi pair is related by the direct intertwiner.
-    # (3, 4, 5): it is lifted from the Kraus-swapped pair, whose two Choi
-    # matrices are formed too.
+    # (2, 6, 2): the kraus/choi pair is related by the direct intertwiner,
+    # which forms the pair's two Choi matrices.  (3, 4, 5): it is lifted from
+    # the Kraus-swapped pair, and only that pair's two Choi matrices are
+    # formed; the residual check reads the Kraus stacks.
     calls = []
     inner = chn.kraus_to_choi
     monkeypatch.setattr(chn, "kraus_to_choi", lambda ch: calls.append(ch) or inner(ch))
     rng = rng_from_seed(19)
-    for shape, expected in (((2, 6, 2), 2), ((3, 4, 5), 4)):
+    for shape, lifted in (((2, 6, 2), False), ((3, 4, 5), True)):
         ch = random_channel(rng, *shape)
         c1 = conj.conjugate_kraus(ch)
         c2 = chn.choi_to_kraus(conj.conjugate_choi(inner(ch)))
         calls.clear()
         rel = conj.find_relating_isometry(c1, c2)
         assert rel.residual < 1e-8
-        assert len(calls) == expected, shape
-        assert calls[:2] == [c1, c2]
+        assert len(calls) == 2, shape
+        if lifted:
+            swapped = [conj.conjugate_kraus(c) for c in (c1, c2)]
+            assert all(np.array_equal(a.kraus, b.kraus) for a, b in zip(calls, swapped))
+        else:
+            assert calls == [c1, c2]

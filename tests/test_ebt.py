@@ -38,6 +38,12 @@ def test_random_ebt_completeness():
     assert frobenius(comp - np.eye(2)) < 1e-12
 
 
+def test_random_ebt_refuses_fewer_elements_than_the_input_dimension():
+    # Two rank-one POVM elements cannot resolve the identity on C^3.
+    with pytest.raises(ValueError, match="at least d_in rank-one elements"):
+        eb.random_ebt(3, 2, 2, rng_from_seed(2))
+
+
 def test_ebt_channel_rejects_incomplete_povm():
     with pytest.raises(ValueError):
         eb.ebt_channel([np.array([1.0, 0.0])], [np.array([1.0, 0.0])])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qcc.linalg import dagger, frobenius
 from qcc.random import (
@@ -44,3 +45,9 @@ def test_random_states_and_channels():
     ops = random_kraus_operators(2, 3, 4, rng)
     tp = np.einsum("kba,kbc->ac", ops.conj(), ops)
     assert frobenius(tp - np.eye(2)) < 1e-12
+
+
+def test_random_kraus_operators_refuses_too_few_outputs_for_the_input():
+    # n * d_out = 2 * 1 < d_in = 3: no isometry C^3 -> C^2 exists.
+    with pytest.raises(ValueError, match="n_kraus \\* d_out >= d_in"):
+        random_kraus_operators(3, 1, 2, rng_from_seed(3))
