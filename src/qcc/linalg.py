@@ -90,9 +90,10 @@ def canonical_gram_eigh(
     non-increasing; the rest of the spectrum of ``t t^+`` is exactly zero.
     Eigenspaces are grouped, canonicalized and cut at ``count``'s ``k`` as
     there, so the columns agree with the dense route's to rounding.  The one
-    exception is a kept eigenvalue within the degeneracy window of zero,
-    which the dense route groups with null vectors of ``t t^+`` and this
-    route does not.
+    exception is a kept eigenvalue within the degeneracy window of zero:
+    the dense route groups it with the whole null space of ``t t^+``, and
+    this route only with the null directions among ``t``'s ``min(n, r)``
+    left singular vectors.
     """
     u, s, _ = np.linalg.svd(t, full_matrices=False)
     w = s * s
